@@ -1,8 +1,7 @@
 // Benchmark harness: one testing.B target per paper table/figure/prototype
-// claim, as indexed in DESIGN.md §4. Custom metrics carry the quantities
-// the paper reports (overhead %, query ms, schedule counts); EXPERIMENTS.md
-// records paper-vs-measured for each. cmd/trod-bench runs the same
-// experiments with paper-formatted output and larger scales.
+// claim. Custom metrics carry the quantities the paper reports (overhead %,
+// query ms, schedule counts). cmd/trod-bench runs the same experiments with
+// paper-formatted output and larger scales.
 package trod_test
 
 import (

@@ -1,6 +1,5 @@
-// trod-bench runs the TROD evaluation experiments (DESIGN.md §4) and prints
-// paper-formatted results. EXPERIMENTS.md records these outputs against the
-// paper's claims.
+// trod-bench runs the TROD evaluation experiments and prints
+// paper-formatted results.
 //
 // Usage:
 //
@@ -506,7 +505,7 @@ func runE1() error {
 func runE2() error {
 	fmt.Println("E2: declarative debugging query latency vs provenance size")
 	fmt.Println("    (paper §3.7: interactive latency over very large event logs;")
-	fmt.Println("     scale substitution per DESIGN.md: 10^4..10^6 events)")
+	fmt.Println("     scale substitution: 10^4..10^6 events)")
 	scales := []int{10_000, 50_000, 100_000}
 	for s := 250_000; s <= *maxEvents; s *= 2 {
 		scales = append(scales, s)

@@ -1,8 +1,7 @@
 // Package experiments implements the TROD evaluation harness: one function
 // per paper table/figure/prototype claim (E1–E10) plus the ablations
-// (A1–A3) DESIGN.md calls out. Both the root bench suite (bench_test.go)
-// and the cmd/trod-bench binary drive these; EXPERIMENTS.md records the
-// paper-vs-measured outcomes.
+// (A1–A3). Both the root bench suite (bench_test.go) and the
+// cmd/trod-bench binary drive these.
 package experiments
 
 import (

@@ -22,7 +22,7 @@ type E2Point struct {
 // RunE2 measures declarative-debugging query latency as a function of
 // provenance size (paper §3.7: "queries over billions of events in <5s").
 //
-// Scale substitution (documented in DESIGN.md): the paper ran on a server
+// Scale substitution: the paper ran on a server
 // fleet with billions of events; this laptop-scale sweep loads 10⁴–10⁶⁺
 // synthetic forum provenance events through the normal provenance writer
 // and reports the latency series so the shape (near-linear scan cost,

@@ -113,13 +113,13 @@ func EncodeKeyTuple(key value.Row) string {
 }
 
 // CheckRow validates a physical row against the schema: arity, NOT NULL, and
-// type compatibility (with int→float widening). It returns a possibly
-// coerced copy of the row.
+// type compatibility (with int→float widening). It coerces the row in place
+// and returns it, so the caller hands over a row it owns (every caller builds
+// a fresh one); on error the row may be partially coerced.
 func (t *Table) CheckRow(row value.Row) (value.Row, error) {
 	if len(row) != len(t.Columns) {
 		return nil, fmt.Errorf("schema: table %q expects %d columns, got %d", t.Name, len(t.Columns), len(row))
 	}
-	out := row.Clone()
 	for i, col := range t.Columns {
 		v, err := Coerce(row[i], col.Type)
 		if err != nil {
@@ -128,9 +128,9 @@ func (t *Table) CheckRow(row value.Row) (value.Row, error) {
 		if v.IsNull() && col.NotNull {
 			return nil, fmt.Errorf("schema: table %q column %q is NOT NULL", t.Name, col.Name)
 		}
-		out[i] = v
+		row[i] = v
 	}
-	return out, nil
+	return row, nil
 }
 
 // Coerce converts v to the target kind where SQL allows it: exact match,

@@ -92,11 +92,48 @@ func TestCheckRow(t *testing.T) {
 	if _, err := tbl.CheckRow(value.Row{value.Text("U"), value.Text("F"), value.Null}); err != nil {
 		t.Errorf("nullable NULL rejected: %v", err)
 	}
-	// CheckRow must not alias the input.
+	// CheckRow coerces in place: the caller hands over the row it built.
 	out, _ := tbl.CheckRow(good)
-	out[2] = value.Int(99)
-	if good[2].AsInt() != 1 {
-		t.Error("CheckRow aliased its input row")
+	if &out[0] != &good[0] {
+		t.Error("CheckRow copied its input row")
+	}
+}
+
+func TestCheckRowCoercesInPlace(t *testing.T) {
+	tbl, err := NewTable("m", []Column{
+		{Name: "id", Type: value.KindInt},
+		{Name: "score", Type: value.KindFloat},
+		{Name: "ok", Type: value.KindBool},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := value.Row{value.Int(1), value.Int(3), value.Int(1)}
+	out, err := tbl.CheckRow(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] != &row[0] {
+		t.Error("CheckRow copied its input row")
+	}
+	if row[1].Kind() != value.KindFloat || row[1].AsFloat() != 3 {
+		t.Errorf("int not widened to FLOAT in place: %v", row[1])
+	}
+	if row[2].Kind() != value.KindBool || !row[2].AsBool() {
+		t.Errorf("int 1 not coerced to BOOL in place: %v", row[2])
+	}
+}
+
+func TestCheckRowAllocsWithoutCoercion(t *testing.T) {
+	tbl := forumTable(t)
+	row := value.Row{value.Text("U1"), value.Text("F2"), value.Int(1)}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := tbl.CheckRow(row); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckRow allocated %v times for an already-typed row, want 0", allocs)
 	}
 }
 

@@ -49,7 +49,7 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 func TestStatsAndScrapeAgree(t *testing.T) {
 	d := db.MustOpenMemory()
 	defer d.Close()
-	srv, addr := startServer(t, d, Config{})
+	srv, addr, settled := settledServer(t, d, Config{})
 	reg := metrics.NewRegistry()
 	d.RegisterMetrics(reg)
 	srv.RegisterMetrics(reg)
@@ -84,8 +84,10 @@ func TestStatsAndScrapeAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// All client calls above completed synchronously, so the counters are
-	// quiescent: the scrape and the Stats snapshot must see identical values.
+	// Once every request's post-response work (its latency observation
+	// included) has settled, the counters are quiescent: the scrape and the
+	// Stats snapshot must see identical values.
+	settled()
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -177,7 +179,7 @@ func TestSlowQueryLogLinksToProvenance(t *testing.T) {
 	defer tr.Close()
 
 	var slow syncBuffer
-	_, addr := startServer(t, prod, Config{
+	_, addr, settled := settledServer(t, prod, Config{
 		App:                app,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryOutput:    &slow,
@@ -203,6 +205,8 @@ func TestSlowQueryLogLinksToProvenance(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	// The commit's slow line is written after its ack; wait for it.
+	settled()
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}

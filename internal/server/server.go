@@ -169,6 +169,12 @@ type Server struct {
 	spanVec     *metrics.HistogramVec
 	spanByStage []*metrics.Histogram // indexed by span.Stage
 	spanStore   *spanStore           // trod_spans system table
+
+	// afterRequest, when set, runs once a request's post-response work (span
+	// completion, the slow-query check) is done. The client's ack comes
+	// before that work, so tests that read what it writes wait on this.
+	// Set before Serve; nil in production.
+	afterRequest func()
 }
 
 // New returns an unstarted server; call Serve with a listener.
@@ -581,6 +587,9 @@ func (ss *session) serve() {
 			ss.completeTrace(buf, req, start, lat)
 		}
 		ss.slowCheck(req, lat, buf)
+		if ss.srv.afterRequest != nil {
+			ss.srv.afterRequest()
+		}
 		if wErr != nil {
 			return
 		}

@@ -21,10 +21,52 @@ import (
 // with the test.
 func startServer(t *testing.T, d *db.DB, cfg Config) (*Server, string) {
 	t.Helper()
+	return startServerWith(t, d, cfg, nil)
+}
+
+// settledServer is startServer for tests that read what a request writes
+// after its ack: latency histograms, kept spans and slow-query lines. wait
+// blocks until every request the server has counted so far has finished
+// that post-response work, and fails the test if that takes over 5s.
+func settledServer(t *testing.T, d *db.DB, cfg Config) (srv *Server, addr string, wait func()) {
+	t.Helper()
+	var settled atomic.Uint64
+	wake := make(chan struct{}, 1)
+	srv, addr = startServerWith(t, d, cfg, func(srv *Server) {
+		srv.afterRequest = func() {
+			settled.Add(1)
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}
+	})
+	wait = func() {
+		t.Helper()
+		target := srv.requests.Load()
+		timeout := time.After(5 * time.Second)
+		for settled.Load() < target {
+			select {
+			case <-wake:
+			case <-timeout:
+				t.Fatalf("timed out: %d of %d requests settled", settled.Load(), target)
+			}
+		}
+	}
+	return srv, addr, wait
+}
+
+// startServerWith is startServer with a hook that runs on the server before
+// it starts serving.
+func startServerWith(t *testing.T, d *db.DB, cfg Config, setup func(*Server)) (*Server, string) {
+	t.Helper()
 	cfg.DB = d
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(srv)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

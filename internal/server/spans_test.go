@@ -128,7 +128,7 @@ func TestSpanStageCoverage(t *testing.T) {
 	d.Log().SetSyncDelay(2 * time.Millisecond)
 
 	col := span.NewCollector(span.CollectorOptions{Sample: 1})
-	_, addr := startServer(t, d, Config{Spans: col})
+	_, addr, settled := settledServer(t, d, Config{Spans: col})
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +141,8 @@ func TestSpanStageCoverage(t *testing.T) {
 	if _, err := c.Exec(`INSERT INTO t VALUES (1, 0)`); err != nil {
 		t.Fatal(err)
 	}
+	// The trace is offered after the ack; wait for it rather than racing.
+	settled()
 
 	var ins *span.Trace
 	for _, tr := range col.Traces() {

@@ -67,53 +67,55 @@ func (t *btree[V]) Get(key string) (V, bool) {
 // Set inserts or replaces the value at key, reporting whether the key was
 // newly inserted.
 func (t *btree[V]) Set(key string, val V) bool {
+	slot, found := t.slot(key)
+	*slot = val
+	return !found
+}
+
+// GetOrSet returns the existing value at key, or stores and returns mk()'s
+// result when absent. loaded reports whether the value pre-existed. It
+// descends the tree once.
+func (t *btree[V]) GetOrSet(key string, mk func() V) (v V, loaded bool) {
+	slot, loaded := t.slot(key)
+	if !loaded {
+		*slot = mk()
+	}
+	return *slot, loaded
+}
+
+// slot descends to key, splitting full nodes on the way down, and returns a
+// pointer to its value slot. An absent key is inserted with a zero value
+// first; found reports whether it already existed. The pointer is valid only
+// until the tree's next mutation.
+func (t *btree[V]) slot(key string) (slot *V, found bool) {
 	if len(t.root.keys) == 2*btreeDegree-1 {
 		old := t.root
 		t.root = &btreeNode[V]{children: []*btreeNode[V]{old}}
 		t.root.splitChild(0)
 	}
-	inserted := t.root.insert(key, val)
-	if inserted {
-		t.size++
-	}
-	return inserted
-}
-
-// GetOrSet returns the existing value at key, or stores and returns mk()'s
-// result when absent. loaded reports whether the value pre-existed.
-func (t *btree[V]) GetOrSet(key string, mk func() V) (v V, loaded bool) {
-	if existing, ok := t.Get(key); ok {
-		return existing, true
-	}
-	val := mk()
-	t.Set(key, val)
-	return val, false
-}
-
-func (n *btreeNode[V]) insert(key string, val V) bool {
+	var zero V
+	n := t.root
 	for {
 		i, ok := n.find(key)
 		if ok {
-			n.vals[i] = val
-			return false
+			return &n.vals[i], true
 		}
 		if n.leaf() {
 			n.keys = append(n.keys, "")
 			copy(n.keys[i+1:], n.keys[i:])
 			n.keys[i] = key
-			var zero V
 			n.vals = append(n.vals, zero)
 			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = val
-			return true
+			n.vals[i] = zero
+			t.size++
+			return &n.vals[i], false
 		}
 		child := n.children[i]
 		if len(child.keys) == 2*btreeDegree-1 {
 			n.splitChild(i)
 			// The separator promoted from the child may equal or precede key.
 			if key == n.keys[i] {
-				n.vals[i] = val
-				return false
+				return &n.vals[i], true
 			}
 			if key > n.keys[i] {
 				i++

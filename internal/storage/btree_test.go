@@ -128,18 +128,63 @@ func TestBTreeReplaceAtSeparator(t *testing.T) {
 	}
 }
 
+// TestBTreeGetOrSetPromotedSeparator drives GetOrSet at the median of a
+// full child: the descent splits that child and promotes the very key being
+// looked up, which must then load as a hit rather than insert a duplicate.
+func TestBTreeGetOrSetPromotedSeparator(t *testing.T) {
+	tr := newBTree[int]()
+	// 0..63 splits the root leaf at 31; 64..94 then fills the right child
+	// (32..94, 63 keys), whose median is 63.
+	for i := 0; i <= 94; i++ {
+		tr.Set(fmt.Sprintf("%03d", i), i*10)
+	}
+	if tr.root.leaf() || len(tr.root.children[1].keys) != 2*btreeDegree-1 {
+		t.Fatalf("setup: right child has %d keys, want a full node", len(tr.root.children[1].keys))
+	}
+	v, loaded := tr.GetOrSet("063", func() int { t.Fatal("mk called for a present key"); return 0 })
+	if !loaded || v != 630 {
+		t.Fatalf("GetOrSet(063) = %d, %v; want 630, true", v, loaded)
+	}
+	if tr.root.keys[1] != "063" {
+		t.Fatalf("063 was not promoted to the root: root keys %v", tr.root.keys)
+	}
+	if tr.Len() != 95 {
+		t.Fatalf("Len = %d after a GetOrSet hit, want 95", tr.Len())
+	}
+	// A miss next to the promoted separator inserts exactly once.
+	v, loaded = tr.GetOrSet("063a", func() int { return -1 })
+	if loaded || v != -1 || tr.Len() != 96 {
+		t.Fatalf("GetOrSet(063a) = %d, %v, Len %d; want -1, false, 96", v, loaded, tr.Len())
+	}
+}
+
 // Property: tree contents match a reference map and iteration matches sorted
-// key order.
+// key order, with Set and GetOrSet interleaved through enough splits to
+// reach three levels.
 func TestBTreePropertyAgainstMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := newBTree[int]()
 		ref := map[string]int{}
-		for i := 0; i < 500; i++ {
-			k := fmt.Sprintf("%04d", rng.Intn(300)) // collisions force replaces
+		for i := 0; i < 10000; i++ {
+			k := fmt.Sprintf("%04d", rng.Intn(8000)) // collisions force replaces and hits
 			v := rng.Int()
-			tr.Set(k, v)
-			ref[k] = v
+			if rng.Intn(2) == 0 {
+				_, present := ref[k]
+				if inserted := tr.Set(k, v); inserted == present {
+					return false
+				}
+				ref[k] = v
+				continue
+			}
+			got, loaded := tr.GetOrSet(k, func() int { return v })
+			want, present := ref[k]
+			if loaded != present || (present && got != want) || (!present && got != v) {
+				return false
+			}
+			if !present {
+				ref[k] = v
+			}
 		}
 		if tr.Len() != len(ref) {
 			return false

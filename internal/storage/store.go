@@ -196,6 +196,9 @@ func (e *indexEntry) visible(seq uint64) (string, bool) {
 type tableData struct {
 	rows    *btree[*entry]
 	indexes map[string]*btree[*indexEntry] // lowercased index name
+	// byDef holds the same trees in Store.indexDef order, so commits reach
+	// a definition's tree without lowercasing its name.
+	byDef []*btree[*indexEntry]
 }
 
 // Store is the MVCC storage engine. One Store backs one database (the
@@ -326,6 +329,7 @@ func (s *Store) CreateIndex(ix *schema.Index) error {
 		return backfillErr
 	}
 	td.indexes[ikey] = tree
+	td.byDef = append(td.byDef, tree)
 	s.indexDef[tkey] = append(s.indexDef[tkey], ix)
 	s.epoch++
 	if s.ddlHook != nil {
@@ -582,14 +586,14 @@ func (s *Store) Commit(req CommitRequest) (uint64, error) {
 	// Re-check uniqueness and write-write sanity against the latest state,
 	// then apply.
 	newSeq := s.seq + 1
+	targets, err := s.resolveTargets("commit", req.Changes)
+	if err != nil {
+		return 0, err
+	}
 	for i := range req.Changes {
 		ch := &req.Changes[i]
-		tkey := strings.ToLower(ch.Table)
-		td, ok := s.data[tkey]
-		if !ok {
-			return 0, fmt.Errorf("storage: commit touches unknown table %q", ch.Table)
-		}
-		cur, _ := td.rows.Get(ch.Key)
+		cur, _ := targets[i].td.rows.Get(ch.Key)
+		targets[i].cur = cur
 		var curRow value.Row
 		if cur != nil {
 			curRow = cur.visible(s.seq)
@@ -612,23 +616,13 @@ func (s *Store) Commit(req CommitRequest) (uint64, error) {
 			ch.Before = curRow
 		}
 	}
-	if err := s.validateUnique(req.Changes); err != nil {
+	if err := s.validateUnique(req.Changes, targets); err != nil {
 		return 0, err
 	}
 
 	// Apply.
-	for i := range req.Changes {
-		ch := req.Changes[i]
-		tkey := strings.ToLower(ch.Table)
-		td := s.data[tkey]
-		e, _ := td.rows.GetOrSet(ch.Key, func() *entry { return &entry{} })
-		var newRow value.Row
-		if ch.Op != OpDelete {
-			newRow = ch.After
-		}
-		e.versions = append(e.versions, version{seq: newSeq, row: newRow})
-	}
-	s.applyIndexChanges(req.Changes, newSeq)
+	s.applyRows(req.Changes, targets, newSeq)
+	s.applyIndexChanges(req.Changes, targets, newSeq)
 
 	s.seq = newSeq
 	rec := CommitRecord{Seq: newSeq, TxnID: req.TxnID, Changes: req.Changes}
@@ -646,19 +640,16 @@ func (s *Store) Commit(req CommitRequest) (uint64, error) {
 // chains resolve equal-seq entries last-writer-wins — interleaving per
 // change would let a tombstone land on top of the new posting whenever the
 // claiming change sorts before the freeing one. Called under s.mu.
-func (s *Store) applyIndexChanges(changes []Change, seq uint64) {
+func (s *Store) applyIndexChanges(changes []Change, targets []changeTarget, seq uint64) {
 	for i := range changes {
 		ch := &changes[i]
 		if ch.Before == nil {
 			continue
 		}
-		tkey := strings.ToLower(ch.Table)
-		td := s.data[tkey]
-		tbl := s.catalog[tkey]
-		for _, ix := range s.indexDef[tkey] {
-			tree := td.indexes[strings.ToLower(ix.Name)]
-			oldK := ix.EncodeIndexKey(tbl, ch.Before)
-			ie, _ := tree.GetOrSet(oldK, func() *indexEntry { return &indexEntry{} })
+		tg := &targets[i]
+		for j, ix := range s.indexDef[tg.tkey] {
+			oldK := ix.EncodeIndexKey(tg.tbl, ch.Before)
+			ie, _ := tg.td.byDef[j].GetOrSet(oldK, func() *indexEntry { return &indexEntry{} })
 			ie.versions = append(ie.versions, indexVersion{seq: seq, present: false})
 		}
 	}
@@ -667,15 +658,68 @@ func (s *Store) applyIndexChanges(changes []Change, seq uint64) {
 		if ch.After == nil {
 			continue
 		}
-		tkey := strings.ToLower(ch.Table)
-		td := s.data[tkey]
-		tbl := s.catalog[tkey]
-		for _, ix := range s.indexDef[tkey] {
-			tree := td.indexes[strings.ToLower(ix.Name)]
-			newK := ix.EncodeIndexKey(tbl, ch.After)
-			ie, _ := tree.GetOrSet(newK, func() *indexEntry { return &indexEntry{} })
+		tg := &targets[i]
+		for j, ix := range s.indexDef[tg.tkey] {
+			newK := ix.EncodeIndexKey(tg.tbl, ch.After)
+			ie, _ := tg.td.byDef[j].GetOrSet(newK, func() *indexEntry { return &indexEntry{} })
 			ie.versions = append(ie.versions, indexVersion{seq: seq, present: true, pk: ch.Key})
 		}
+	}
+}
+
+// changeTarget is one change's table, resolved once per commit, and the
+// row's version chain where the commit found it.
+type changeTarget struct {
+	tkey string // lowercased table name
+	td   *tableData
+	tbl  *schema.Table
+	cur  *entry // set by Commit's validation; nil when the key was absent
+}
+
+// resolveTargets resolves every change's table. A spelling is lowercased and
+// looked up the first time the commit names it; later changes naming the
+// same spelling reuse the result. op names the caller in the unknown-table
+// error. Called under s.mu.
+func (s *Store) resolveTargets(op string, changes []Change) ([]changeTarget, error) {
+	targets := make([]changeTarget, len(changes))
+	var firstBuf [8]int
+	first := firstBuf[:0] // per distinct spelling, the first change naming it
+	for i := range changes {
+		name := changes[i].Table
+		j := len(first) - 1
+		for j >= 0 && changes[first[j]].Table != name {
+			j--
+		}
+		if j >= 0 {
+			targets[i] = targets[first[j]]
+			continue
+		}
+		tkey := strings.ToLower(name)
+		td, ok := s.data[tkey]
+		if !ok {
+			return nil, fmt.Errorf("storage: %s touches unknown table %q", op, name)
+		}
+		targets[i] = changeTarget{tkey: tkey, td: td, tbl: s.catalog[tkey]}
+		first = append(first, i)
+	}
+	return targets, nil
+}
+
+// applyRows appends each change's row version at seq, reusing the version
+// chain a target already holds and otherwise finding or creating it in one
+// tree descent. Called under s.mu.
+func (s *Store) applyRows(changes []Change, targets []changeTarget, seq uint64) {
+	for i := range changes {
+		ch := &changes[i]
+		e := targets[i].cur
+		if e == nil {
+			e, _ = targets[i].td.rows.GetOrSet(ch.Key, func() *entry { return &entry{} })
+		}
+		var newRow value.Row
+		if ch.Op != OpDelete {
+			newRow = ch.After
+		}
+		e.versions = append(e.versions, version{seq: seq, row: newRow})
 	}
 }
 
@@ -730,28 +774,29 @@ func (s *Store) indexRangeConflict(rs *ReadSet, ch *Change) bool {
 // is deleted (or updated away) by this same request may be re-claimed. The
 // per-change Before images must already be refreshed to committed truth.
 // Called under s.mu.
-func (s *Store) validateUnique(changes []Change) error {
+func (s *Store) validateUnique(changes []Change, targets []changeTarget) error {
 	var freed map[string]struct{} // table \x00 index \x00 old index key
 	var claims map[string]string  // table \x00 index \x00 new index key -> claiming pk
 	for i := range changes {
 		ch := &changes[i]
-		tkey := strings.ToLower(ch.Table)
-		tbl := s.catalog[tkey]
-		for _, ix := range s.indexDef[tkey] {
+		tg := &targets[i]
+		for _, ix := range s.indexDef[tg.tkey] {
 			if !ix.Unique {
 				continue
 			}
-			id := tkey + "\x00" + strings.ToLower(ix.Name) + "\x00"
+			// ix is the store's own definition, so its spelling is stable
+			// across changes and needs no lowercasing to key these maps.
+			id := tg.tkey + "\x00" + ix.Name + "\x00"
 			if ch.Before != nil {
 				if freed == nil {
 					freed = make(map[string]struct{})
 				}
-				freed[id+ix.EncodeIndexKey(tbl, ch.Before)] = struct{}{}
+				freed[id+ix.EncodeIndexKey(tg.tbl, ch.Before)] = struct{}{}
 			}
 			if ch.Op == OpDelete {
 				continue
 			}
-			k := id + ix.EncodeIndexKey(tbl, ch.After)
+			k := id + ix.EncodeIndexKey(tg.tbl, ch.After)
 			if claims == nil {
 				claims = make(map[string]string)
 			}
@@ -771,19 +816,16 @@ func (s *Store) validateUnique(changes []Change) error {
 		if ch.Op == OpDelete {
 			continue
 		}
-		tkey := strings.ToLower(ch.Table)
-		tbl := s.catalog[tkey]
-		td := s.data[tkey]
-		for _, ix := range s.indexDef[tkey] {
+		tg := &targets[i]
+		for j, ix := range s.indexDef[tg.tkey] {
 			if !ix.Unique {
 				continue
 			}
-			ikey := ix.EncodeIndexKey(tbl, ch.After)
-			if _, ok := freed[tkey+"\x00"+strings.ToLower(ix.Name)+"\x00"+ikey]; ok {
+			ikey := ix.EncodeIndexKey(tg.tbl, ch.After)
+			if _, ok := freed[tg.tkey+"\x00"+ix.Name+"\x00"+ikey]; ok {
 				continue
 			}
-			tree := td.indexes[strings.ToLower(ix.Name)]
-			if e, found := tree.Get(ikey); found {
+			if e, found := tg.td.byDef[j].Get(ikey); found {
 				if pk, present := e.visible(s.seq); present && pk != ch.Key {
 					return fmt.Errorf("storage: unique index %q violation on table %q", ix.Name, ch.Table)
 				}
@@ -941,20 +983,12 @@ func (s *Store) ApplyCommitted(rec CommitRecord) error {
 	if rec.Seq != s.seq+1 {
 		return fmt.Errorf("storage: out-of-order recovery commit %d (have %d)", rec.Seq, s.seq)
 	}
-	for _, ch := range rec.Changes {
-		tkey := strings.ToLower(ch.Table)
-		td, ok := s.data[tkey]
-		if !ok {
-			return fmt.Errorf("storage: recovery touches unknown table %q", ch.Table)
-		}
-		e, _ := td.rows.GetOrSet(ch.Key, func() *entry { return &entry{} })
-		var newRow value.Row
-		if ch.Op != OpDelete {
-			newRow = ch.After
-		}
-		e.versions = append(e.versions, version{seq: rec.Seq, row: newRow})
+	targets, err := s.resolveTargets("recovery", rec.Changes)
+	if err != nil {
+		return err
 	}
-	s.applyIndexChanges(rec.Changes, rec.Seq)
+	s.applyRows(rec.Changes, targets, rec.Seq)
+	s.applyIndexChanges(rec.Changes, targets, rec.Seq)
 	s.seq = rec.Seq
 	if rec.TxnID > s.nextTxn {
 		s.nextTxn = rec.TxnID

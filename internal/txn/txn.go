@@ -301,7 +301,8 @@ func (t *Txn) IndexScan(tbl *schema.Table, ix *schema.Index, lo, hi string, fn f
 }
 
 // Insert buffers a new row. It fails if the key already exists (either in
-// the snapshot or locally).
+// the snapshot or locally). The transaction takes ownership of row: it is
+// coerced in place and buffered without a copy.
 func (t *Txn) Insert(tbl *schema.Table, row value.Row) error {
 	if t.state != StateActive {
 		return ErrDone
@@ -332,7 +333,7 @@ func (t *Txn) Insert(tbl *schema.Table, row value.Row) error {
 }
 
 // Update buffers a full-row replacement for an existing key. The new row
-// must have the same primary key.
+// must have the same primary key. Like Insert, it takes ownership of newRow.
 func (t *Txn) Update(tbl *schema.Table, newRow value.Row) error {
 	if t.state != StateActive {
 		return ErrDone

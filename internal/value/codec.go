@@ -38,10 +38,10 @@ func EncodeKey(dst []byte, v Value) []byte {
 		return encodeOrderedFloat(dst, float64(v.i), v.i, true)
 	case KindFloat:
 		dst = append(dst, tagNum)
-		return encodeOrderedFloat(dst, v.f, 0, false)
+		return encodeOrderedFloat(dst, v.AsFloat(), 0, false)
 	case KindText:
 		dst = append(dst, tagText)
-		return encodeOrderedBytes(dst, []byte(v.s))
+		return encodeOrderedBytes(dst, v.s)
 	case KindBool:
 		dst = append(dst, tagBool)
 		if v.i != 0 {
@@ -50,7 +50,7 @@ func EncodeKey(dst []byte, v Value) []byte {
 		return append(dst, 0)
 	case KindBytes:
 		dst = append(dst, tagBytes)
-		return encodeOrderedBytes(dst, v.b)
+		return encodeOrderedBytes(dst, v.s)
 	default:
 		return append(dst, tagNull)
 	}
@@ -85,9 +85,9 @@ func encodeOrderedFloat(dst []byte, f float64, iv int64, isInt bool) []byte {
 
 // encodeOrderedBytes escapes 0x00 as 0x00 0xFF and terminates with 0x00 0x00
 // so that prefixes order before extensions.
-func encodeOrderedBytes(dst, src []byte) []byte {
-	for _, c := range src {
-		if c == 0x00 {
+func encodeOrderedBytes(dst []byte, src string) []byte {
+	for i := 0; i < len(src); i++ {
+		if c := src[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)
@@ -142,7 +142,7 @@ func DecodeKey(src []byte) (Value, int, error) {
 		if tag == tagText {
 			return Text(string(payload)), 1 + n, nil
 		}
-		return Value{kind: KindBytes, b: payload}, 1 + n, nil
+		return Value{kind: KindBytes, s: string(payload)}, 1 + n, nil
 	case tagBool:
 		if len(src) < 2 {
 			return Null, 0, fmt.Errorf("value: truncated bool key")
@@ -204,14 +204,11 @@ func EncodeRow(dst []byte, r Row) []byte {
 			dst = binary.AppendVarint(dst, v.i)
 		case KindFloat:
 			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
+			binary.LittleEndian.PutUint64(buf[:], uint64(v.i))
 			dst = append(dst, buf[:]...)
-		case KindText:
+		case KindText, KindBytes:
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 			dst = append(dst, v.s...)
-		case KindBytes:
-			dst = binary.AppendUvarint(dst, uint64(len(v.b)))
-			dst = append(dst, v.b...)
 		}
 	}
 	return dst
@@ -220,7 +217,7 @@ func EncodeRow(dst []byte, r Row) []byte {
 // maxRowColumns caps a decoded row's arity. Real rows are schema rows
 // (tens of columns) or statement argument lists; the cap only exists so a
 // crafted header cannot turn one cheap input byte per claimed column into
-// a 64-byte Value allocation each (a ~64x memory amplification for
+// a 32-byte Value allocation each (a ~32x memory amplification for
 // network-supplied frames).
 const maxRowColumns = 1 << 16
 
@@ -280,15 +277,8 @@ func DecodeRow(src []byte) (Row, int, error) {
 			if ln > uint64(len(src)-off) {
 				return nil, 0, fmt.Errorf("value: truncated payload")
 			}
-			payload := src[off : off+int(ln)]
+			row = append(row, Value{kind: kind, s: string(src[off : off+int(ln)])})
 			off += int(ln)
-			if kind == KindText {
-				row = append(row, Text(string(payload)))
-			} else {
-				cp := make([]byte, len(payload))
-				copy(cp, payload)
-				row = append(row, Value{kind: KindBytes, b: cp})
-			}
 		default:
 			return nil, 0, fmt.Errorf("value: bad kind byte 0x%02x", byte(kind))
 		}

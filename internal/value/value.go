@@ -50,12 +50,14 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable SQL value. The zero Value is NULL.
+//
+// A Value is 32 bytes with a single pointer word: rows are the bulk of the
+// heap (MVCC versions, provenance events), so every pointer here is a word
+// the garbage collector must scan.
 type Value struct {
 	kind Kind
-	i    int64   // KindInt, KindBool (0/1)
-	f    float64 // KindFloat
-	s    string  // KindText
-	b    []byte  // KindBytes; never aliased by callers
+	i    int64  // KindInt, KindBool (0/1), KindFloat (IEEE 754 bits)
+	s    string // KindText, KindBytes (immutable, so never aliased by callers)
 }
 
 // Null is the SQL NULL value.
@@ -65,7 +67,7 @@ var Null = Value{kind: KindNull}
 func Int(v int64) Value { return Value{kind: KindInt, i: v} }
 
 // Float returns a FLOAT value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, i: int64(math.Float64bits(v))} }
 
 // Text returns a TEXT value.
 func Text(v string) Value { return Value{kind: KindText, s: v} }
@@ -81,11 +83,7 @@ func Bool(v bool) Value {
 
 // Bytes returns a BYTES value. The input slice is copied so the Value is
 // immutable regardless of later mutation by the caller.
-func Bytes(v []byte) Value {
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return Value{kind: KindBytes, b: cp}
-}
+func Bytes(v []byte) Value { return Value{kind: KindBytes, s: string(v)} }
 
 // FromGo converts a native Go value into a Value. Supported inputs are nil,
 // bool, all integer widths, float32/64, string, and []byte. It is used by the
@@ -150,29 +148,48 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// AsInt returns the int64 payload. It is valid only for KindInt and KindBool.
-func (v Value) AsInt() int64 { return v.i }
-
-// AsFloat returns the float64 payload for KindFloat, or a widened int for
-// KindInt.
-func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+// AsInt returns the int64 payload. It is valid only for KindInt and KindBool;
+// every other kind returns 0.
+func (v Value) AsInt() int64 {
+	if v.kind == KindFloat {
+		return 0
 	}
-	return v.f
+	return v.i
 }
 
-// AsText returns the string payload. Valid only for KindText.
-func (v Value) AsText() string { return v.s }
+// AsFloat returns the float64 payload for KindFloat, or a widened int for
+// KindInt; every other kind returns 0.
+func (v Value) AsFloat() float64 {
+	switch v.kind {
+	case KindInt:
+		return float64(v.i)
+	case KindFloat:
+		return math.Float64frombits(uint64(v.i))
+	default:
+		return 0
+	}
+}
 
-// AsBool returns the boolean payload. Valid only for KindBool.
-func (v Value) AsBool() bool { return v.i != 0 }
+// AsText returns the string payload. Valid only for KindText; every other
+// kind returns "".
+func (v Value) AsText() string {
+	if v.kind != KindText {
+		return ""
+	}
+	return v.s
+}
 
-// AsBytes returns a copy of the byte payload. Valid only for KindBytes.
+// AsBool returns the boolean payload. Valid only for KindBool (and KindInt,
+// as non-zero); every other kind returns false.
+func (v Value) AsBool() bool { return v.kind != KindFloat && v.i != 0 }
+
+// AsBytes returns a copy of the byte payload. Valid only for KindBytes;
+// every other kind returns an empty slice.
 func (v Value) AsBytes() []byte {
-	cp := make([]byte, len(v.b))
-	copy(cp, v.b)
-	return cp
+	if v.kind != KindBytes {
+		return []byte{}
+	}
+	return []byte(v.s)
 }
 
 // Go converts the Value back to its natural Go representation: nil, int64,
@@ -184,7 +201,7 @@ func (v Value) Go() any {
 	case KindInt:
 		return v.i
 	case KindFloat:
-		return v.f
+		return v.AsFloat()
 	case KindText:
 		return v.s
 	case KindBool:
@@ -204,7 +221,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindText:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
@@ -213,7 +230,7 @@ func (v Value) String() string {
 		}
 		return "FALSE"
 	case KindBytes:
-		return fmt.Sprintf("X'%x'", v.b)
+		return fmt.Sprintf("X'%x'", v.s)
 	default:
 		return "?"
 	}
@@ -279,7 +296,7 @@ func Compare(a, b Value) int {
 		return 1
 	}
 	switch a.kind {
-	case KindText:
+	case KindText, KindBytes:
 		return strings.Compare(a.s, b.s)
 	case KindBool:
 		switch {
@@ -290,31 +307,6 @@ func Compare(a, b Value) int {
 		default:
 			return 0
 		}
-	case KindBytes:
-		return bytesCompare(a.b, b.b)
-	default:
-		return 0
-	}
-}
-
-func bytesCompare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
 	default:
 		return 0
 	}
