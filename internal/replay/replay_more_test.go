@@ -1,7 +1,9 @@
 package replay
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/db"
@@ -11,7 +13,21 @@ import (
 )
 
 // travelScenario reproduces the overbooking race with tracing.
+// workload.RaceHandlers runs R2's transactions before the gate ahead of
+// R3's, so whichever racer books last, its replay restores a snapshot taken
+// before it charged the customer.
 func travelScenario(t *testing.T) (*db.DB, *trace.Tracer, string) {
+	return travelScenarioWith(t, func(app *runtime.App) error {
+		return workload.RaceHandlers(app, "bookTrip", "recordBooking", "R2", "R3",
+			runtime.Args{"flightId": "F100", "customer": "alice"},
+			runtime.Args{"flightId": "F100", "customer": "bob"})
+	})
+}
+
+// travelScenarioWith runs R1's booking and then race, which issues the two
+// racing bookings R2 and R3, under tracing. It returns the request whose
+// booking was inserted last.
+func travelScenarioWith(t *testing.T, race func(*runtime.App) error) (*db.DB, *trace.Tracer, string) {
 	t.Helper()
 	prod := db.MustOpenMemory()
 	prov := db.MustOpenMemory()
@@ -29,9 +45,7 @@ func travelScenario(t *testing.T) (*db.DB, *trace.Tracer, string) {
 	if _, err := app.InvokeWithReqID("R1", "bookTrip", runtime.Args{"flightId": "F100", "customer": "early"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.RaceHandlers(app, "bookTrip", "recordBooking", "R2", "R3",
-		runtime.Args{"flightId": "F100", "customer": "alice"},
-		runtime.Args{"flightId": "F100", "customer": "bob"}); err != nil {
+	if err := race(app); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Flush(); err != nil {
@@ -97,9 +111,13 @@ func TestReplayExternalCallsNotDuplicated(t *testing.T) {
 }
 
 func TestSelectiveRestoreMissingTableDiverges(t *testing.T) {
-	// Restoring only the flights table leaves bookings/payments empty: the
-	// replayed request recomputes MAX(bookingId) over an empty table and
-	// its write set differs — the engine must flag it, not crash.
+	// Restoring only the flights table leaves bookings/payments empty.
+	// RaceHandlers commits R2's charge before R3 checks seats, so whichever
+	// racer books last, no payment commits between its restored snapshot
+	// and its own MAX(paymentId) read. Nothing is injected there, the ID is
+	// recomputed over an empty table, and the write set differs: the engine
+	// must flag it, not crash. TestSelectiveRestoreInjectedRowsMatch is the
+	// schedule where it rightly does not.
 	prod, tr, late := travelScenario(t)
 	rp := New(prod, tr.Writer())
 	report, err := rp.Replay(late, workload.RegisterTravel, Options{
@@ -110,6 +128,75 @@ func TestSelectiveRestoreMissingTableDiverges(t *testing.T) {
 	}
 	if !report.Diverged {
 		t.Error("missing-table selective restore should diverge")
+	}
+}
+
+// stepGate is a transaction interceptor that admits the listed
+// transactions, each named "reqID/label", strictly in list order.
+type stepGate struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	steps []string
+	next  int
+}
+
+func newStepGate(steps ...string) *stepGate {
+	g := &stepGate{steps: steps}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+func (g *stepGate) Before(c *runtime.Ctx, label string) error {
+	step := c.ReqID + "/" + label
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.next < len(g.steps) && g.steps[g.next] != step {
+		g.cond.Wait()
+	}
+	return nil
+}
+
+func (g *stepGate) After(c *runtime.Ctx, label string, _ error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.next < len(g.steps) && g.steps[g.next] == c.ReqID+"/"+label {
+		g.next++
+		g.cond.Broadcast()
+	}
+}
+
+// TestSelectiveRestoreInjectedRowsMatch is the schedule where the same
+// flights-only restore rightly does not diverge. R3 checks seats before R2
+// charges, so R2's payment and booking commit after R3's restored snapshot.
+// Replay injects them ahead of R3's MAX(paymentId) and MAX(bookingId) reads.
+// Those maxima, and so R3's whole write set, then match production, even
+// though R1's rows are missing.
+func TestSelectiveRestoreInjectedRowsMatch(t *testing.T) {
+	prod, tr, late := travelScenarioWith(t, func(app *runtime.App) error {
+		app.SetTxnInterceptor(newStepGate(
+			"R3/checkSeats", "R2/checkSeats", "R2/insertPayment", "R3/insertPayment",
+			"R2/recordBooking", "R2/linkPayment", "R3/recordBooking", "R3/linkPayment"))
+		defer app.SetTxnInterceptor(nil)
+		errs := make(chan error, 2)
+		for _, r := range []struct{ req, customer string }{{"R2", "alice"}, {"R3", "bob"}} {
+			go func(req, customer string) {
+				_, err := app.InvokeWithReqID(req, "bookTrip", runtime.Args{"flightId": "F100", "customer": customer})
+				errs <- err
+			}(r.req, r.customer)
+		}
+		return errors.Join(<-errs, <-errs)
+	})
+	if late != "R3" {
+		t.Fatalf("late request = %s, want R3", late)
+	}
+	report, err := New(prod, tr.Writer()).Replay(late, workload.RegisterTravel, Options{
+		Tables: []string{"flights"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Diverged {
+		t.Errorf("replay with the racer's rows injected diverged: %v", report.Diffs)
 	}
 }
 

@@ -102,9 +102,25 @@ func (t *Table) PrimaryKey(row value.Row) value.Row {
 	return key
 }
 
-// EncodePrimaryKey returns the order-preserving key bytes for a row.
+// keyBufSize is the stack buffer key encoders build in; it holds a few
+// numeric columns or a short text key, and a longer key simply spills to
+// the heap.
+const keyBufSize = 64
+
+// EncodePrimaryKey returns the order-preserving key bytes for a row. The key
+// columns are encoded straight from the row into a stack buffer, so the only
+// allocation is the returned string.
 func (t *Table) EncodePrimaryKey(row value.Row) string {
-	return string(value.EncodeKeyRow(nil, t.PrimaryKey(row)))
+	var buf [keyBufSize]byte
+	return string(t.appendPrimaryKey(buf[:0], row))
+}
+
+// appendPrimaryKey appends the encoded primary-key columns of row to dst.
+func (t *Table) appendPrimaryKey(dst []byte, row value.Row) []byte {
+	for _, c := range t.PKCols {
+		dst = value.EncodeKey(dst, row[c])
+	}
+	return dst
 }
 
 // EncodeKeyTuple encodes an already-extracted key tuple.
@@ -220,14 +236,15 @@ type Index struct {
 // (order-preserving) followed, for non-unique indexes, by the primary key to
 // disambiguate duplicates.
 func (ix *Index) EncodeIndexKey(t *Table, row value.Row) string {
-	var buf []byte
+	var buf [keyBufSize]byte
+	b := buf[:0]
 	for _, c := range ix.Columns {
-		buf = value.EncodeKey(buf, row[c])
+		b = value.EncodeKey(b, row[c])
 	}
 	if !ix.Unique {
-		buf = value.EncodeKeyRow(buf, t.PrimaryKey(row))
+		b = t.appendPrimaryKey(b, row)
 	}
-	return string(buf)
+	return string(b)
 }
 
 // EncodeIndexPrefix encodes a prefix of the indexed columns for range scans.

@@ -225,3 +225,30 @@ func TestPlanConcurrentReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPKPointSelectAllocs pins the allocation budget of a compiled PK point
+// SELECT: evaluating the equality bounds, encoding the key, the lookup, and
+// the result. The equality bounds are evaluated into a stack slice.
+func TestPKPointSelectAllocs(t *testing.T) {
+	h := newHarness(t)
+	seedRange(h)
+	stmt, err := sqlparse.Parse(`SELECT v FROM seq WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(stmt, h.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := &Executor{Tx: txn.Begin(h.store), Store: h.store, Args: []value.Value{value.Int(7)}}
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := ex.Run(plan)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("point select: %v, %v", res, err)
+		}
+	})
+	const maxAllocs = 6
+	if allocs > maxAllocs {
+		t.Errorf("point SELECT allocates %.1f times, want <= %d", allocs, maxAllocs)
+	}
+}

@@ -69,7 +69,8 @@ func splitConjuncts(e sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
 // arguments) here. fn receives the physical row and returns false to stop.
 func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]int, fn func(value.Row) (bool, error)) error {
 	// Evaluate planned equality bounds for this execution.
-	var bounds map[int]value.Value
+	var boundBuf [4]colBound
+	bounds := colBounds(boundBuf[:0])
 	for _, b := range s.eqBounds {
 		v, err := eval(&env{args: ex.Args}, b.expr)
 		if err != nil {
@@ -81,10 +82,7 @@ func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]
 			// residual predicate keeps semantics SQL-like without a bound.
 			continue
 		}
-		if bounds == nil {
-			bounds = make(map[int]value.Value, len(s.eqBounds))
-		}
-		bounds[b.col] = coerced
+		bounds = bounds.set(b.col, coerced)
 	}
 
 	fe := env{cols: s.cols, args: ex.Args, slots: slots}
@@ -108,7 +106,7 @@ func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]
 	// PK prefix from equality bounds.
 	pkPrefixLen := 0
 	for _, c := range s.tbl.PKCols {
-		if _, ok := bounds[c]; !ok {
+		if !bounds.has(c) {
 			break
 		}
 		pkPrefixLen++
@@ -117,7 +115,7 @@ func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]
 		// Point lookup.
 		buf := make([]byte, 0, 48)
 		for _, c := range s.tbl.PKCols {
-			buf = value.EncodeKey(buf, bounds[c])
+			buf = value.EncodeKey(buf, bounds.val(c))
 		}
 		row, found, err := ex.Tx.Get(s.tbl.Name, string(buf))
 		if err != nil {
@@ -133,7 +131,7 @@ func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]
 	if pkPrefixLen > 0 {
 		buf := make([]byte, 0, 48)
 		for _, c := range s.tbl.PKCols[:pkPrefixLen] {
-			buf = value.EncodeKey(buf, bounds[c])
+			buf = value.EncodeKey(buf, bounds.val(c))
 		}
 		prefix := string(buf)
 		lo, hi, err := ex.rangeKeyBounds(s, s.tbl.PKCols, pkPrefixLen, prefix)
@@ -167,6 +165,49 @@ func (ex *Executor) scanPlanSource(s *planSource, slots map[*sqlparse.ColumnRef]
 	}
 
 	return ex.txScan(s.tbl.Name, "", "", emit)
+}
+
+// colBound is one equality bound evaluated for an execution: column col
+// must equal v.
+type colBound struct {
+	col int
+	v   value.Value
+}
+
+// colBounds holds an execution's equality bounds, at most one per column.
+// Sources carry a handful of bounds, so a linear search beats a map and the
+// backing array stays on the caller's stack.
+type colBounds []colBound
+
+// has reports whether column col carries a bound.
+func (bs colBounds) has(col int) bool {
+	for i := range bs {
+		if bs[i].col == col {
+			return true
+		}
+	}
+	return false
+}
+
+// val returns the bound on column col; the caller has checked it exists.
+func (bs colBounds) val(col int) value.Value {
+	for i := range bs {
+		if bs[i].col == col {
+			return bs[i].v
+		}
+	}
+	return value.Null
+}
+
+// set records v as the bound on column col, replacing an earlier one.
+func (bs colBounds) set(col int, v value.Value) colBounds {
+	for i := range bs {
+		if bs[i].col == col {
+			bs[i].v = v
+			return bs
+		}
+	}
+	return append(bs, colBound{col: col, v: v})
 }
 
 // hasRangeOn reports whether a range bound was planned on column col.
@@ -253,13 +294,13 @@ func (ex *Executor) txScan(table, lo, hi string, emit func(value.Row) (bool, err
 
 // pickPlanIndex chooses the secondary index with the longest equality
 // prefix, falling back to an index whose first column carries a range bound.
-func pickPlanIndex(s *planSource, bounds map[int]value.Value) (*schema.Index, int) {
+func pickPlanIndex(s *planSource, bounds colBounds) (*schema.Index, int) {
 	var best *schema.Index
 	bestLen := 0
 	for _, ix := range s.indexes {
 		n := 0
 		for _, c := range ix.Columns {
-			if _, ok := bounds[c]; !ok {
+			if !bounds.has(c) {
 				break
 			}
 			n++
@@ -279,12 +320,12 @@ func pickPlanIndex(s *planSource, bounds map[int]value.Value) (*schema.Index, in
 	return nil, 0
 }
 
-func (ex *Executor) indexScan(s *planSource, ix *schema.Index, eqLen int, bounds map[int]value.Value, emit func(value.Row) (bool, error)) error {
+func (ex *Executor) indexScan(s *planSource, ix *schema.Index, eqLen int, bounds colBounds, emit func(value.Row) (bool, error)) error {
 	var prefix string
 	if eqLen > 0 {
 		buf := make([]byte, 0, 48)
 		for _, c := range ix.Columns[:eqLen] {
-			buf = value.EncodeKey(buf, bounds[c])
+			buf = value.EncodeKey(buf, bounds.val(c))
 		}
 		prefix = string(buf)
 	}

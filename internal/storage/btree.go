@@ -15,14 +15,30 @@ import "sort"
 //
 // The tree uses preemptive splitting: full nodes are split on the way down,
 // so inserts never backtrack.
+//
+// Right edge. Most keys the store writes arrive in ascending order
+// (provenance event IDs, transaction IDs, the rows a restore copies in key
+// order), so the tree caches its rightmost leaf. When that leaf is non-empty
+// its last key is the tree's maximum, and a key above it is absent by
+// construction: Get answers the miss in O(1), and an insert appends to the
+// leaf in O(1) while it has room. When a full node on the right edge must
+// split for such a key, the split is end-biased: the left node keeps
+// btreeMaxKeys-2 keys and the new right node starts with one, so an
+// ascending load leaves nodes ~97% full instead of half full. Any split
+// clears the cache, and so does a Delete; the next insert that descends the
+// right edge re-caches the leaf it reaches.
 type btree[V any] struct {
 	root *btreeNode[V]
 	size int
+	last *btreeNode[V] // rightmost leaf, or nil when not known
 }
 
 // btreeDegree is the maximum number of keys per node; chosen so a node fills
 // roughly one cache line's worth of string headers.
 const btreeDegree = 32
+
+// btreeMaxKeys is the number of keys in a full node.
+const btreeMaxKeys = 2*btreeDegree - 1
 
 type btreeNode[V any] struct {
 	keys     []string
@@ -50,6 +66,10 @@ func (n *btreeNode[V]) find(key string) (int, bool) {
 
 // Get returns the value stored at key.
 func (t *btree[V]) Get(key string) (V, bool) {
+	if t.pastEnd(key) {
+		var zero V
+		return zero, false
+	}
 	n := t.root
 	for {
 		i, ok := n.find(key)
@@ -83,18 +103,34 @@ func (t *btree[V]) GetOrSet(key string, mk func() V) (v V, loaded bool) {
 	return *slot, loaded
 }
 
+// pastEnd reports, in O(1), whether key sorts after every key in the tree.
+// It is false whenever the rightmost leaf is not cached or is empty.
+func (t *btree[V]) pastEnd(key string) bool {
+	l := t.last
+	return l != nil && len(l.keys) > 0 && key > l.keys[len(l.keys)-1]
+}
+
 // slot descends to key, splitting full nodes on the way down, and returns a
 // pointer to its value slot. An absent key is inserted with a zero value
 // first; found reports whether it already existed. The pointer is valid only
 // until the tree's next mutation.
 func (t *btree[V]) slot(key string) (slot *V, found bool) {
-	if len(t.root.keys) == 2*btreeDegree-1 {
+	var zero V
+	atEnd := t.pastEnd(key)
+	if atEnd && len(t.last.keys) < btreeMaxKeys {
+		n := t.last
+		n.keys = append(n.keys, key)
+		n.vals = append(n.vals, zero)
+		t.size++
+		return &n.vals[len(n.vals)-1], false
+	}
+	if len(t.root.keys) == btreeMaxKeys {
 		old := t.root
 		t.root = &btreeNode[V]{children: []*btreeNode[V]{old}}
-		t.root.splitChild(0)
+		t.splitChild(t.root, 0, atEnd)
 	}
-	var zero V
 	n := t.root
+	rightEdge := true // n is the last node of its level
 	for {
 		i, ok := n.find(key)
 		if ok {
@@ -108,11 +144,13 @@ func (t *btree[V]) slot(key string) (slot *V, found bool) {
 			copy(n.vals[i+1:], n.vals[i:])
 			n.vals[i] = zero
 			t.size++
+			if rightEdge {
+				t.last = n
+			}
 			return &n.vals[i], false
 		}
-		child := n.children[i]
-		if len(child.keys) == 2*btreeDegree-1 {
-			n.splitChild(i)
+		if len(n.children[i].keys) == btreeMaxKeys {
+			t.splitChild(n, i, atEnd)
 			// The separator promoted from the child may equal or precede key.
 			if key == n.keys[i] {
 				return &n.vals[i], true
@@ -121,24 +159,41 @@ func (t *btree[V]) slot(key string) (slot *V, found bool) {
 				i++
 			}
 		}
+		rightEdge = rightEdge && i == len(n.keys)
 		n = n.children[i]
 	}
 }
 
-// splitChild splits the full child at index i, promoting its median into n.
-func (n *btreeNode[V]) splitChild(i int) {
+// splitChild splits n's full child at index i, promoting one of its keys
+// into n. A normal split promotes the median; an end-biased split (atEnd,
+// for a key above the tree's maximum) promotes the second-to-last key, so
+// the left node stays nearly full and the right node starts with one key
+// and room for the ascending keys that follow. Any split clears the
+// rightmost-leaf cache.
+func (t *btree[V]) splitChild(n *btreeNode[V], i int, atEnd bool) {
+	t.last = nil
 	child := n.children[i]
 	mid := btreeDegree - 1
+	capacity := 0
+	if atEnd {
+		mid = btreeMaxKeys - 2
+		capacity = btreeMaxKeys
+	}
 	medianKey, medianVal := child.keys[mid], child.vals[mid]
 
 	right := &btreeNode[V]{
-		keys: append([]string(nil), child.keys[mid+1:]...),
-		vals: append([]V(nil), child.vals[mid+1:]...),
+		keys: append(make([]string, 0, capacity), child.keys[mid+1:]...),
+		vals: append(make([]V, 0, capacity), child.vals[mid+1:]...),
 	}
+	// The moved tail is cleared so the left node's spare capacity does not
+	// keep values alive after they leave the tree.
 	if !child.leaf() {
-		right.children = append([]*btreeNode[V](nil), child.children[mid+1:]...)
+		right.children = append(make([]*btreeNode[V], 0, capacity+1), child.children[mid+1:]...)
+		clear(child.children[mid+1:])
 		child.children = child.children[:mid+1]
 	}
+	clear(child.keys[mid:])
+	clear(child.vals[mid:])
 	child.keys = child.keys[:mid]
 	child.vals = child.vals[:mid]
 
@@ -164,6 +219,7 @@ func (t *btree[V]) Delete(key string) bool {
 	if !t.root.remove(key) {
 		return false
 	}
+	t.last = nil
 	for len(t.root.keys) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}

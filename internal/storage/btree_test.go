@@ -133,9 +133,19 @@ func TestBTreeReplaceAtSeparator(t *testing.T) {
 // looked up, which must then load as a hit rather than insert a duplicate.
 func TestBTreeGetOrSetPromotedSeparator(t *testing.T) {
 	tr := newBTree[int]()
-	// 0..63 splits the root leaf at 31; 64..94 then fills the right child
-	// (32..94, 63 keys), whose median is 63.
-	for i := 0; i <= 94; i++ {
+	// 0..61 and 63 fill the root leaf; 62 lands below the maximum, so the
+	// root splits at its median 31 (an ascending key would take the
+	// end-biased split instead). 64..94 then fill the right child (32..94,
+	// 63 keys), whose median is 63.
+	keys := []int{}
+	for i := 0; i <= 61; i++ {
+		keys = append(keys, i)
+	}
+	keys = append(keys, 63, 62)
+	for i := 64; i <= 94; i++ {
+		keys = append(keys, i)
+	}
+	for _, i := range keys {
 		tr.Set(fmt.Sprintf("%03d", i), i*10)
 	}
 	if tr.root.leaf() || len(tr.root.children[1].keys) != 2*btreeDegree-1 {
@@ -158,16 +168,120 @@ func TestBTreeGetOrSetPromotedSeparator(t *testing.T) {
 	}
 }
 
+// checkBTree verifies the tree's structural invariants: keys strictly
+// ordered within each node, every separator bounding its two subtrees,
+// leaves and interior nodes shaped consistently, size equal to the number of
+// keys, and the cached rightmost leaf (when set) equal to the real one.
+func checkBTree[V any](tr *btree[V]) error {
+	count := 0
+	var walk func(n *btreeNode[V], lo, hi string, bounded bool) error
+	walk = func(n *btreeNode[V], lo, hi string, bounded bool) error {
+		if len(n.vals) != len(n.keys) {
+			return fmt.Errorf("node has %d keys but %d values", len(n.keys), len(n.vals))
+		}
+		if len(n.keys) > btreeMaxKeys {
+			return fmt.Errorf("node has %d keys, max %d", len(n.keys), btreeMaxKeys)
+		}
+		for i, k := range n.keys {
+			if i > 0 && k <= n.keys[i-1] {
+				return fmt.Errorf("keys out of order: %q after %q", k, n.keys[i-1])
+			}
+			if bounded && k <= lo {
+				return fmt.Errorf("key %q not above its separator %q", k, lo)
+			}
+			if hi != "" && k >= hi {
+				return fmt.Errorf("key %q not below its separator %q", k, hi)
+			}
+		}
+		count += len(n.keys)
+		if n.leaf() {
+			return nil
+		}
+		if len(n.children) != len(n.keys)+1 {
+			return fmt.Errorf("interior node has %d keys but %d children", len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi, cb := lo, hi, bounded
+			if i > 0 {
+				clo, cb = n.keys[i-1], true
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			if err := walk(c, clo, chi, cb); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(tr.root, "", "", false); err != nil {
+		return err
+	}
+	if count != tr.size {
+		return fmt.Errorf("size %d, but the tree holds %d keys", tr.size, count)
+	}
+	if tr.last != nil {
+		n := tr.root
+		for !n.leaf() {
+			n = n.children[len(n.children)-1]
+		}
+		if tr.last != n {
+			return fmt.Errorf("cached rightmost leaf is not the tree's rightmost leaf")
+		}
+	}
+	return nil
+}
+
 // Property: tree contents match a reference map and iteration matches sorted
-// key order, with Set and GetOrSet interleaved through enough splits to
-// reach three levels.
+// key order, with Set, GetOrSet, and Delete interleaved through enough splits
+// to reach three levels. Runs of ascending keys above the current maximum
+// take the right-edge path and its end-biased splits; random keys and
+// deletions between the runs split normally and invalidate the cached
+// rightmost leaf. The structural invariants are checked every 1000 steps.
 func TestBTreePropertyAgainstMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := newBTree[int]()
 		ref := map[string]int{}
+		next := 0 // ascending runs continue from here
 		for i := 0; i < 10000; i++ {
-			k := fmt.Sprintf("%04d", rng.Intn(8000)) // collisions force replaces and hits
+			var k string
+			if i%1000 == 0 {
+				if err := checkBTree(tr); err != nil {
+					t.Log(err)
+					return false
+				}
+			}
+			switch op := rng.Intn(20); {
+			case op < 17:
+				k = fmt.Sprintf("%05d", rng.Intn(8000)) // collisions force replaces and hits
+			case op < 18:
+				// A run of ascending keys above every key drawn so far.
+				if next < 8000 {
+					next = 8000
+				}
+				for n := rng.Intn(64); n > 0; n-- {
+					next++
+					k = fmt.Sprintf("%05d", next)
+					if _, hit := tr.Get(k); hit {
+						return false
+					}
+					v := rng.Int()
+					if !tr.Set(k, v) {
+						return false
+					}
+					ref[k] = v
+				}
+				continue
+			default:
+				k = fmt.Sprintf("%05d", rng.Intn(next+1))
+				_, present := ref[k]
+				if tr.Delete(k) != present {
+					return false
+				}
+				delete(ref, k)
+				continue
+			}
 			v := rng.Int()
 			if rng.Intn(2) == 0 {
 				_, present := ref[k]
@@ -185,6 +299,10 @@ func TestBTreePropertyAgainstMap(t *testing.T) {
 			if !present {
 				ref[k] = v
 			}
+		}
+		if err := checkBTree(tr); err != nil {
+			t.Log(err)
+			return false
 		}
 		if tr.Len() != len(ref) {
 			return false
@@ -204,9 +322,57 @@ func TestBTreePropertyAgainstMap(t *testing.T) {
 			i++
 			return true
 		})
+		for _, k := range keys {
+			if v, found := tr.Get(k); !found || v != ref[k] {
+				return false
+			}
+		}
 		return ok && i == len(keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBTreeAscendingFill pins the end-biased split: an ascending load
+// leaves the leaves at least 90% full (a median split would leave them
+// half full), keeps the tree valid, and answers lookups on both sides of
+// the maximum.
+func TestBTreeAscendingFill(t *testing.T) {
+	tr := newBTree[int]()
+	const n = 100000
+	for i := 0; i < n; i++ {
+		if !tr.Set(fmt.Sprintf("%07d", i), i) {
+			t.Fatalf("Set(%07d) reported a replace", i)
+		}
+	}
+	if err := checkBTree(tr); err != nil {
+		t.Fatal(err)
+	}
+	leaves, leafKeys := 0, 0
+	var walk func(nd *btreeNode[int])
+	walk = func(nd *btreeNode[int]) {
+		if nd.leaf() {
+			leaves++
+			leafKeys += len(nd.keys)
+			return
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(tr.root)
+	// The last leaf is still filling; judge the others.
+	fill := float64(leafKeys-len(tr.last.keys)) / float64((leaves-1)*btreeMaxKeys)
+	if fill < 0.9 {
+		t.Fatalf("leaves %.0f%% full after an ascending load (%d leaves), want >= 90%%", fill*100, leaves)
+	}
+	for i := 0; i < n; i += 997 {
+		if v, ok := tr.Get(fmt.Sprintf("%07d", i)); !ok || v != i {
+			t.Fatalf("Get(%07d) = %d, %v", i, v, ok)
+		}
+	}
+	if _, ok := tr.Get(fmt.Sprintf("%07d", n)); ok {
+		t.Fatal("Get above the maximum hit")
 	}
 }

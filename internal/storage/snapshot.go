@@ -270,7 +270,9 @@ func DecodeSnapshot(data []byte) (*Store, error) {
 				return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 			}
 			off += used
-			td.rows.Set(key, &entry{versions: []version{{seq: seq, row: row}}})
+			e := &entry{}
+			e.add(version{seq: seq, row: row})
+			td.rows.Set(key, e)
 		}
 		// Rebuild secondary indexes from the restored rows (backfill at seq).
 		for _, ix := range indexes {

@@ -148,9 +148,41 @@ type version struct {
 	row value.Row // nil means deleted
 }
 
-// entry is a row's version chain, append-only in seq order.
+// chain is an MVCC version chain, append-only in seq order. Its first
+// version lives inline in one, so a key written once costs a single
+// allocation (the entry itself). Once the chain leaves the inline slot (an
+// append moves it to the heap, or Vacuum installs a compacted chain) one is
+// cleared, so a version dropped from the chain does not stay reachable
+// through it. A chain is used only through a pointer to its entry: copying
+// one would alias the inline slot.
+type chain[V any] struct {
+	versions []V
+	one      [1]V
+}
+
+// add appends v to the chain.
+func (c *chain[V]) add(v V) {
+	switch {
+	case c.versions == nil:
+		c.one[0] = v
+		c.versions = c.one[:]
+	case len(c.versions) == cap(c.versions):
+		c.versions = append(c.versions, v)
+		c.one = [1]V{}
+	default:
+		c.versions = append(c.versions, v)
+	}
+}
+
+// replace installs a compacted chain, which never aliases the inline slot.
+func (c *chain[V]) replace(kept []V) {
+	c.versions = kept
+	c.one = [1]V{}
+}
+
+// entry is a row's version chain.
 type entry struct {
-	versions []version
+	chain[version]
 }
 
 // visible returns the row image visible at snapshot seq, or nil.
@@ -174,7 +206,7 @@ func (e *entry) latestSeq() uint64 {
 // indexEntry is a versioned secondary-index posting: present/absent over
 // time, referencing the row's primary key.
 type indexEntry struct {
-	versions []indexVersion
+	chain[indexVersion]
 }
 
 type indexVersion struct {
@@ -322,7 +354,9 @@ func (s *Store) CreateIndex(ix *schema.Index) error {
 			backfillErr = fmt.Errorf("storage: unique index %q violated by existing data", ix.Name)
 			return false
 		}
-		tree.Set(k, &indexEntry{versions: []indexVersion{{seq: s.seq, present: true, pk: pk}}})
+		ie := &indexEntry{}
+		ie.add(indexVersion{seq: s.seq, present: true, pk: pk})
+		tree.Set(k, ie)
 		return true
 	})
 	if backfillErr != nil {
@@ -650,7 +684,7 @@ func (s *Store) applyIndexChanges(changes []Change, targets []changeTarget, seq 
 		for j, ix := range s.indexDef[tg.tkey] {
 			oldK := ix.EncodeIndexKey(tg.tbl, ch.Before)
 			ie, _ := tg.td.byDef[j].GetOrSet(oldK, func() *indexEntry { return &indexEntry{} })
-			ie.versions = append(ie.versions, indexVersion{seq: seq, present: false})
+			ie.add(indexVersion{seq: seq, present: false})
 		}
 	}
 	for i := range changes {
@@ -662,7 +696,7 @@ func (s *Store) applyIndexChanges(changes []Change, targets []changeTarget, seq 
 		for j, ix := range s.indexDef[tg.tkey] {
 			newK := ix.EncodeIndexKey(tg.tbl, ch.After)
 			ie, _ := tg.td.byDef[j].GetOrSet(newK, func() *indexEntry { return &indexEntry{} })
-			ie.versions = append(ie.versions, indexVersion{seq: seq, present: true, pk: ch.Key})
+			ie.add(indexVersion{seq: seq, present: true, pk: ch.Key})
 		}
 	}
 }
@@ -719,7 +753,7 @@ func (s *Store) applyRows(changes []Change, targets []changeTarget, seq uint64) 
 		if ch.Op != OpDelete {
 			newRow = ch.After
 		}
-		e.versions = append(e.versions, version{seq: seq, row: newRow})
+		e.add(version{seq: seq, row: newRow})
 	}
 }
 

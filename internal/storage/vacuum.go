@@ -92,7 +92,7 @@ func (s *Store) vacuumTable(td *tableData, horizon uint64, st *VacuumStats) {
 		if len(kept) == 0 {
 			dead = append(dead, k)
 		} else if dropped > 0 {
-			e.versions = kept
+			e.replace(kept)
 		}
 		return true
 	})
@@ -114,7 +114,7 @@ func (s *Store) vacuumTable(td *tableData, horizon uint64, st *VacuumStats) {
 			if len(kept) == 0 {
 				dead = append(dead, k)
 			} else if dropped > 0 {
-				e.versions = kept
+				e.replace(kept)
 			}
 			return true
 		})

@@ -324,6 +324,9 @@ func TestBTreeDeleteDrain(t *testing.T) {
 				if tr.Len() != n-idx-1 {
 					t.Fatalf("n=%d seed=%d: Len = %d after %d deletes", n, seed, tr.Len(), idx+1)
 				}
+				if err := checkBTree(tr); err != nil {
+					t.Fatalf("n=%d seed=%d: after %d deletes: %v", n, seed, idx+1, err)
+				}
 			}
 			tr.Ascend(func(k string, v int) bool {
 				t.Fatalf("n=%d seed=%d: drained tree still yields %q", n, seed, k)
@@ -331,4 +334,56 @@ func TestBTreeDeleteDrain(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestVacuumReleasesInlineVersion pins the inline first version's release
+// rule: once a chain outgrows its inline slot, the slot is cleared, so a row
+// image Vacuum drops (an updated row's old image, or a deleted row's last
+// one, as provenance Forget leaves behind) is not kept alive by the entry.
+func TestVacuumReleasesInlineVersion(t *testing.T) {
+	s, tbl := newKVStore(t)
+	if err := s.CreateIndex(&schema.Index{Name: "kv_v", Table: "kv", Columns: []int{1}}); err != nil {
+		t.Fatal(err)
+	}
+	insertKV(t, s, tbl, "upd", 1)
+	insertKV(t, s, tbl, "del", 2)
+	insertKV(t, s, tbl, "keep", 3)
+	td := s.data["kv"]
+	key := func(k string) string { return schema.EncodeKeyTuple(value.Row{value.Text(k)}) }
+	upd, _ := td.rows.Get(key("upd"))
+	del, _ := td.rows.Get(key("del"))
+	oldUpd, oldDel := upd.versions[0].row, del.versions[0].row
+	if &upd.versions[0] != &upd.one[0] {
+		t.Fatal("a row written once should keep its version inline")
+	}
+
+	mutateKV(t, s, "upd", oldUpd, value.Row{value.Text("upd"), value.Int(10)})
+	mutateKV(t, s, "del", oldDel, nil)
+	st := s.Vacuum(s.CurrentSeq())
+	if st.DroppedRowVersions == 0 || st.DroppedRowKeys != 1 {
+		t.Fatalf("vacuum stats = %+v, want the old image and the deleted row dropped", st)
+	}
+	if _, ok := td.rows.Get(key("del")); ok {
+		t.Fatal("the deleted row's entry survived vacuum")
+	}
+
+	same := func(a, b value.Row) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	for _, e := range []*entry{upd, del} {
+		if same(e.one[0].row, oldUpd) || same(e.one[0].row, oldDel) {
+			t.Fatal("an entry's inline slot still holds a dropped row image")
+		}
+	}
+	// Every chain either lives in its inline slot or has cleared it.
+	td.rows.Ascend(func(_ string, e *entry) bool {
+		if inline := &e.versions[0] == &e.one[0]; !inline && (e.one[0].seq != 0 || e.one[0].row != nil) {
+			t.Errorf("entry %v moved off its inline slot without clearing it", e.versions)
+		}
+		return true
+	})
+	td.indexes["kv_v"].Ascend(func(_ string, e *indexEntry) bool {
+		if inline := &e.versions[0] == &e.one[0]; !inline && e.one[0] != (indexVersion{}) {
+			t.Errorf("index entry %v moved off its inline slot without clearing it", e.versions)
+		}
+		return true
+	})
 }

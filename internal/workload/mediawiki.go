@@ -206,6 +206,14 @@ func registerMediaWikiCommon(app *runtime.App) {
 // forced interleaving: both requests pause before their transaction with
 // label gateLabel until both have arrived. It generalises RaceSubscribe to
 // the MediaWiki bugs.
+//
+// The transactions before the gate run in a pinned order: reqB starts only
+// once reqA is parked at the gate, so every transaction reqA runs before
+// the gate commits before any of reqB's. Both requests still pass their
+// checks before either reaches the gated write (the race window), but the
+// commits leading up to it no longer depend on the Go scheduler, so what a
+// replay of either request finds in its restored snapshot is the same on
+// every run. The order of the two gated transactions is still left open.
 func RaceHandlers(app *runtime.App, handler, gateLabel string, reqA, reqB string, argsA, argsB runtime.Args) error {
 	release := make(chan struct{})
 	arrived := make(chan struct{}, 2)
@@ -213,15 +221,15 @@ func RaceHandlers(app *runtime.App, handler, gateLabel string, reqA, reqB string
 	defer app.SetTxnInterceptor(nil)
 
 	errs := make(chan error, 2)
-	go func() {
-		_, err := app.InvokeWithReqID(reqA, handler, argsA)
-		errs <- err
-	}()
-	go func() {
-		_, err := app.InvokeWithReqID(reqB, handler, argsB)
-		errs <- err
-	}()
+	invoke := func(reqID string, args runtime.Args) {
+		go func() {
+			_, err := app.InvokeWithReqID(reqID, handler, args)
+			errs <- err
+		}()
+	}
+	invoke(reqA, argsA)
 	<-arrived
+	invoke(reqB, argsB)
 	<-arrived
 	close(release)
 	var first error
