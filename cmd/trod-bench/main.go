@@ -15,14 +15,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	trod "repro"
 	"repro/internal/experiments"
@@ -41,17 +39,10 @@ var (
 	writers   = flag.Int("writers", 4, "mvcc experiment: concurrent RMW writer goroutines")
 	readers   = flag.Int("readers", 4, "mvcc experiment: concurrent read-only scan goroutines")
 	writeTxns = flag.Int("writetxns", 4000, "mvcc experiment: total committed transfer transactions")
-	jsonOut   = flag.String("json", "", "write a BENCH_*.json perf snapshot (E1 memory pair + E2 sweep + recovery + server load) to this path and exit")
 )
 
 func main() {
 	flag.Parse()
-	if *jsonOut != "" {
-		if err := writeSnapshot(*jsonOut); err != nil {
-			log.Fatalf("snapshot: %v", err)
-		}
-		return
-	}
 	which := strings.ToLower(*expFlag)
 	run := func(name string, fn func() error) {
 		if which != "all" && which != name {
@@ -92,381 +83,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-}
-
-// Snapshot is the machine-readable perf record committed as BENCH_<n>.json.
-// Successive PRs append snapshots so the perf trajectory of the headline
-// paths (E1 tracing overhead, E2 query latency, cold-recovery time) stays
-// recorded; compare the e2[].query_ms series, e1.trace_cost_us_per_req, and
-// recovery.checkpoint_ms across files.
-type Snapshot struct {
-	GeneratedAt string               `json:"generated_at"`
-	Requests    int                  `json:"e1_requests"`
-	E1          SnapshotE1           `json:"e1"`
-	E2          []SnapshotE2         `json:"e2"`
-	Recovery    *SnapshotRecovery    `json:"recovery,omitempty"`
-	Server      *SnapshotServer      `json:"server,omitempty"`
-	Replication *SnapshotReplication `json:"replication,omitempty"`
-	Failover    []SnapshotFailover   `json:"failover,omitempty"`
-	MVCC        *SnapshotMVCC        `json:"mvcc,omitempty"`
-	Obs         *SnapshotObs         `json:"obs,omitempty"`
-}
-
-// SnapshotObs records the observability experiment: the hot-key conflict
-// storm, the open-loop burst run, and the multi-tenant plan-cache pressure
-// run. The claims it pins: the scrape covers all four instrumented layers
-// while the server is saturated, every sampled slow-query request ID
-// resolves in the provenance database, the admission queue's behaviour is
-// visible in the queue-wait histogram, and span capture attributes the
-// plan-cache thrash to plan_compile time.
-type SnapshotObs struct {
-	HotKeyWorkers      int     `json:"hotkey_workers"`
-	HotKeyOps          int     `json:"hotkey_ops_per_worker"`
-	HotKeyKeys         int     `json:"hotkey_keys"`
-	HotKeyCommitted    int     `json:"hotkey_committed"`
-	HotKeyConflicts    int     `json:"hotkey_conflicts"`
-	HotKeyConflictPct  float64 `json:"hotkey_conflict_pct"`
-	ScrapeSeries       int     `json:"midrun_scrape_series"`
-	ScrapeConsistent   bool    `json:"midrun_scrape_all_layers"`
-	SlowQueryLines     int     `json:"slow_query_lines"`
-	SlowIDsChecked     int     `json:"slow_req_ids_checked"`
-	SlowIDsResolved    int     `json:"slow_req_ids_resolved"`
-	TracerEvents       uint64  `json:"tracer_events"`
-	OpenLoopArrivals   int     `json:"openloop_arrivals"`
-	OpenLoopServed     int     `json:"openloop_served"`
-	OpenLoopRejected   int     `json:"openloop_rejected_busy"`
-	QueueWaitObserved  uint64  `json:"queue_wait_observed"`
-	QueueWaitAvgMs     float64 `json:"queue_wait_avg_ms"`
-	OpenLoopDurationMs float64 `json:"openloop_duration_ms"`
-	PlanCacheTenants   int     `json:"plancache_tenants"`
-	PlanCacheCap       int     `json:"plancache_cap"`
-	PlanCacheQueries   int     `json:"plancache_queries"`
-	PlanCacheHitPct    float64 `json:"plancache_hit_pct"`
-	PlanCacheResets    uint64  `json:"plancache_resets"`
-	PlanCacheTraces    int     `json:"plancache_traces_kept"`
-	PlanCompileMs      float64 `json:"plancache_compile_ms"`
-	PlanExecuteMs      float64 `json:"plancache_execute_ms"`
-	PlanCompileShare   float64 `json:"plancache_compile_share_pct"`
-}
-
-// SnapshotMVCC records the mixed analytics+OLTP run: long read-only scans
-// concurrent with RMW transfers under version GC. The claims it pins:
-// reader_aborts must be exactly 0 (declared read-only transactions carry no
-// read set, so commit validation cannot abort them), every scan saw a
-// consistent snapshot, and resident version count plateaued well under the
-// unbounded (no-GC) line.
-type SnapshotMVCC struct {
-	Writers           int     `json:"writers"`
-	Readers           int     `json:"readers"`
-	WriteTxns         int     `json:"write_txns"`
-	ReaderScans       int     `json:"reader_scans"`
-	ReaderAborts      int     `json:"reader_aborts"`
-	InvariantOK       bool    `json:"scan_invariant_ok"`
-	VacuumRuns        uint64  `json:"vacuum_runs"`
-	VacuumDropped     uint64  `json:"vacuum_dropped_versions"`
-	HistoryFloor      uint64  `json:"history_floor"`
-	ResidentPeak      uint64  `json:"resident_peak_versions"`
-	ResidentFinal     uint64  `json:"resident_final_versions"`
-	UnboundedVersions uint64  `json:"unbounded_versions"`
-	Plateaued         bool    `json:"plateaued"`
-	DurationMs        float64 `json:"duration_ms"`
-}
-
-// SnapshotFailover records one kill-the-primary run: failover time, the
-// promotion point, and the durability audit against the clients' acked-write
-// oracle. Quorum mode must show acked_lost == 0 and store_diff_clean ==
-// true; the async entry records its acked-loss window for contrast.
-type SnapshotFailover struct {
-	Mode          string  `json:"mode"`
-	SyncReplicas  int     `json:"sync_replicas"`
-	Writers       int     `json:"writers"`
-	AckedBefore   int     `json:"acked_before_kill"`
-	AckedAfter    int     `json:"acked_after_failover"`
-	Unknown       int     `json:"unknown_writes"`
-	FailoverMs    float64 `json:"failover_ms"`
-	PromotedEpoch uint64  `json:"promoted_epoch"`
-	PromotedSeq   uint64  `json:"promoted_seq"`
-	Survivors     int     `json:"survivors"`
-	AckedLost     int     `json:"acked_lost"`
-	Phantoms      int     `json:"phantom_rows"`
-	DiffClean     bool    `json:"store_diff_clean"`
-	StaleFenced   bool    `json:"stale_primary_fenced"`
-}
-
-// SnapshotReplication records the replication experiment: read throughput
-// at each replica count (0 = primary-only baseline), end-to-end replication
-// lag percentiles with the bounded-staleness verdict, and the differential
-// proof that every replica's state equaled the primary's after the load
-// drained.
-type SnapshotReplication struct {
-	Replicas      int                    `json:"replicas"`
-	WriteOps      int                    `json:"write_ops"`
-	SlotsPerNode  int                    `json:"read_slots_per_node"`
-	ReadServiceUs int                    `json:"read_service_model_us"`
-	ReadScale     []SnapshotReplicaScale `json:"read_scale"`
-	LagSamples    int                    `json:"lag_samples"`
-	LagP50Ms      float64                `json:"lag_p50_ms"`
-	LagP99Ms      float64                `json:"lag_p99_ms"`
-	LagBoundMs    float64                `json:"lag_bound_ms"`
-	LagBounded    bool                   `json:"lag_bounded"`
-	DiffClean     bool                   `json:"store_diff_clean"`
-}
-
-// SnapshotReplicaScale is one read-throughput scale point.
-type SnapshotReplicaScale struct {
-	Replicas      int     `json:"replicas"`
-	ThroughputOps float64 `json:"throughput_ops_per_s"`
-}
-
-// SnapshotServer records the network front end's multi-client load numbers:
-// throughput and tail latency over loopback against a disk-mode database
-// with per-commit fsync, plus the group-commit evidence (WAL fsyncs issued
-// during the run stay below the commits they made durable).
-type SnapshotServer struct {
-	Clients       int     `json:"clients"`
-	OpsPerClient  int     `json:"ops_per_client"`
-	Ops           int     `json:"ops"`
-	Conflicts     int     `json:"conflicts"`
-	ThroughputOps float64 `json:"throughput_ops_per_s"`
-	P50Us         float64 `json:"p50_us"`
-	P99Us         float64 `json:"p99_us"`
-	Commits       uint64  `json:"commits"`
-	WALSyncs      uint64  `json:"wal_syncs"`
-	FsyncDelayUs  int     `json:"fsync_delay_us"`
-	GroupCommit   bool    `json:"group_commit_effective"`
-}
-
-// SnapshotRecovery records cold-recovery latency at the E2 200k-event scale:
-// full WAL replay versus checkpoint-snapshot-plus-tail.
-type SnapshotRecovery struct {
-	Events       int     `json:"events"`
-	Commits      int     `json:"commits"`
-	FullReplayMs float64 `json:"full_replay_ms"`
-	CheckpointMs float64 `json:"checkpoint_ms"`
-	TailRecords  int     `json:"tail_records"`
-	SpeedupX     float64 `json:"speedup_x"`
-}
-
-// SnapshotE1 is the tracing-overhead record (in-memory engine).
-type SnapshotE1 struct {
-	BaseP50Us        float64 `json:"base_p50_us"`
-	TracedP50Us      float64 `json:"traced_p50_us"`
-	TraceCostUsPerRq float64 `json:"trace_cost_us_per_req"`
-	OverheadPct      float64 `json:"overhead_pct"`
-}
-
-// SnapshotE2 is one scale point of the declarative-query latency sweep.
-type SnapshotE2 struct {
-	Events  int     `json:"events"`
-	LoadMs  float64 `json:"load_ms"`
-	QueryMs float64 `json:"query_ms"`
-	AggMs   float64 `json:"agg_ms"`
-}
-
-// snapshotScales builds the E2 sweep for snapshot mode. The default ladder
-// is 10k/50k/200k; an explicit -maxevents caps the ladder and becomes its
-// largest scale, so the flag is honoured instead of silently ignored.
-// maxEvents must be positive when explicit.
-func snapshotScales(maxEvents int, explicit bool) ([]int, error) {
-	ladder := []int{10_000, 50_000, 200_000}
-	if !explicit {
-		return ladder, nil
-	}
-	if maxEvents <= 0 {
-		return nil, fmt.Errorf("-maxevents must be positive, got %d", maxEvents)
-	}
-	var scales []int
-	for _, s := range ladder {
-		if s < maxEvents {
-			scales = append(scales, s)
-		}
-	}
-	return append(scales, maxEvents), nil
-}
-
-func writeSnapshot(path string) error {
-	// Snapshot mode favours turnaround: the default request count is reduced
-	// to 2000, but explicitly passed -requests/-maxevents are honoured.
-	reqs := 2000
-	explicitMax := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "requests":
-			reqs = *requests
-		case "maxevents":
-			explicitMax = true
-		}
-	})
-	mem, err := experiments.RunE1Pair(experiments.EngineMemory, reqs, *users, false)
-	if err != nil {
-		return err
-	}
-	scales, err := snapshotScales(*maxEvents, explicitMax)
-	if err != nil {
-		return err
-	}
-	points, err := experiments.RunE2(scales)
-	if err != nil {
-		return err
-	}
-	rp, err := experiments.RunRecoveryBench(scales[len(scales)-1])
-	if err != nil {
-		return err
-	}
-	sl, err := experiments.RunServerLoad(*clients, *ops)
-	if err != nil {
-		return err
-	}
-	rep, err := experiments.RunReplication(*replicas, *readMs)
-	if err != nil {
-		return err
-	}
-	snap := Snapshot{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Requests:    reqs,
-		E1: SnapshotE1{
-			BaseP50Us:        mem.Off.P50Us,
-			TracedP50Us:      mem.On.P50Us,
-			TraceCostUsPerRq: mem.PerReqUs,
-			OverheadPct:      mem.OverheadPct,
-		},
-	}
-	for _, p := range points {
-		snap.E2 = append(snap.E2, SnapshotE2{Events: p.Events, LoadMs: p.LoadMs, QueryMs: p.QueryMs, AggMs: p.AggMs})
-	}
-	speedup := 0.0
-	if rp.CheckpointMs > 0 {
-		speedup = rp.FullReplayMs / rp.CheckpointMs
-	}
-	snap.Recovery = &SnapshotRecovery{
-		Events:       rp.Events,
-		Commits:      rp.Commits,
-		FullReplayMs: rp.FullReplayMs,
-		CheckpointMs: rp.CheckpointMs,
-		TailRecords:  rp.TailRecords,
-		SpeedupX:     speedup,
-	}
-	snap.Server = &SnapshotServer{
-		Clients:       sl.Clients,
-		OpsPerClient:  sl.OpsPerClient,
-		Ops:           sl.Ops,
-		Conflicts:     sl.Conflicts,
-		ThroughputOps: sl.Throughput,
-		P50Us:         sl.P50Us,
-		P99Us:         sl.P99Us,
-		Commits:       sl.Commits,
-		WALSyncs:      sl.WALSyncs,
-		FsyncDelayUs:  sl.FsyncDelayUs,
-		GroupCommit:   sl.GroupCommitEffective(),
-	}
-	snap.Replication = &SnapshotReplication{
-		Replicas:      rep.Replicas,
-		WriteOps:      rep.WriteOps,
-		SlotsPerNode:  rep.SlotsPerNode,
-		ReadServiceUs: rep.ReadServiceUs,
-		LagSamples:    rep.LagSamples,
-		LagP50Ms:      rep.LagP50Ms,
-		LagP99Ms:      rep.LagP99Ms,
-		LagBoundMs:    rep.LagBoundMs,
-		LagBounded:    rep.LagBounded,
-		DiffClean:     rep.DiffClean,
-	}
-	for _, p := range rep.ReadScale {
-		snap.Replication.ReadScale = append(snap.Replication.ReadScale,
-			SnapshotReplicaScale{Replicas: p.Replicas, ThroughputOps: p.Throughput})
-	}
-	for _, syncN := range []int{1, 0} {
-		fo, err := experiments.RunFailover(syncN)
-		if err != nil {
-			return err
-		}
-		if fo.Mode == "quorum" && (fo.AckedLost != 0 || !fo.DiffClean || !fo.StaleFenced) {
-			return fmt.Errorf("failover (quorum) violated its durability claims: ackedLost=%d diffClean=%v staleFenced=%v",
-				fo.AckedLost, fo.DiffClean, fo.StaleFenced)
-		}
-		snap.Failover = append(snap.Failover, SnapshotFailover{
-			Mode:          fo.Mode,
-			SyncReplicas:  fo.SyncReplicas,
-			Writers:       fo.Writers,
-			AckedBefore:   fo.AckedBefore,
-			AckedAfter:    fo.AckedAfter,
-			Unknown:       fo.Unknown,
-			FailoverMs:    fo.FailoverMs,
-			PromotedEpoch: fo.PromotedEpoch,
-			PromotedSeq:   fo.PromotedSeq,
-			Survivors:     fo.Survivors,
-			AckedLost:     fo.AckedLost,
-			Phantoms:      fo.Phantoms,
-			DiffClean:     fo.DiffClean,
-			StaleFenced:   fo.StaleFenced,
-		})
-	}
-	obs, err := experiments.RunObs(obsWorkers, obsOpsPerWorker, obsBursts, obsPerBurst, obsTenants)
-	if err != nil {
-		return err
-	}
-	snap.Obs = &SnapshotObs{
-		HotKeyWorkers:      obs.HotKey.Workers,
-		HotKeyOps:          obs.HotKey.OpsPerWorker,
-		HotKeyKeys:         obs.HotKey.Keys,
-		HotKeyCommitted:    obs.HotKey.Committed,
-		HotKeyConflicts:    obs.HotKey.Conflicts,
-		HotKeyConflictPct:  obs.HotKey.ConflictPct,
-		ScrapeSeries:       obs.HotKey.ScrapeSeries,
-		ScrapeConsistent:   obs.HotKey.ScrapeConsistent,
-		SlowQueryLines:     obs.HotKey.SlowQueryLines,
-		SlowIDsChecked:     obs.HotKey.SlowIDsChecked,
-		SlowIDsResolved:    obs.HotKey.SlowIDsResolved,
-		TracerEvents:       obs.HotKey.TracerEvents,
-		OpenLoopArrivals:   obs.OpenLoop.Arrivals,
-		OpenLoopServed:     obs.OpenLoop.Served,
-		OpenLoopRejected:   obs.OpenLoop.RejectedBusy,
-		QueueWaitObserved:  obs.OpenLoop.QueueWaitObs,
-		QueueWaitAvgMs:     obs.OpenLoop.QueueWaitAvgMs,
-		OpenLoopDurationMs: obs.OpenLoop.DurationMs,
-		PlanCacheTenants:   obs.PlanCache.Tenants,
-		PlanCacheCap:       obs.PlanCache.CacheCap,
-		PlanCacheQueries:   obs.PlanCache.Queries,
-		PlanCacheHitPct:    obs.PlanCache.HitPct,
-		PlanCacheResets:    obs.PlanCache.CacheResets,
-		PlanCacheTraces:    obs.PlanCache.TracesKept,
-		PlanCompileMs:      obs.PlanCache.PlanCompileMs,
-		PlanExecuteMs:      obs.PlanCache.ExecuteMs,
-		PlanCompileShare:   obs.PlanCache.CompileShare,
-	}
-	mv, err := experiments.RunMVCC(*writers, *readers, *writeTxns)
-	if err != nil {
-		return err
-	}
-	if err := mv.Err(); err != nil {
-		return err
-	}
-	snap.MVCC = &SnapshotMVCC{
-		Writers:           mv.Writers,
-		Readers:           mv.Readers,
-		WriteTxns:         mv.WriteTxns,
-		ReaderScans:       mv.ReaderScans,
-		ReaderAborts:      mv.ReaderAborts,
-		InvariantOK:       mv.InvariantOK,
-		VacuumRuns:        mv.VacuumRuns,
-		VacuumDropped:     mv.VacuumDropped,
-		HistoryFloor:      mv.HistoryFloor,
-		ResidentPeak:      mv.ResidentPeak,
-		ResidentFinal:     mv.ResidentFinal,
-		UnboundedVersions: mv.UnboundedVersions,
-		Plateaued:         mv.Plateaued,
-		DurationMs:        mv.DurationMs,
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func runE1() error {

@@ -10,6 +10,13 @@
 //	trod-query -remote 127.0.0.1:7654 "SELECT * FROM t"
 //	trod-query -remote 127.0.0.1:7654 -stats        # server counters (text)
 //	trod-query -remote 127.0.0.1:7654 -stats -json  # ... as JSON
+//	trod-query -remote 127.0.0.1:7654 -prov \
+//	  "SELECT S.stage, E.CommitSeq FROM trod_spans AS S JOIN Executions AS E ON S.req_id = E.ReqId WHERE S.req_id = 'R2'"
+//	trod-query -remote 127.0.0.1:7654 -trace R2      # one kept trace's span tree
+//
+// With -prov, statements run read-only against the server's provenance
+// database (trod-server -prov): Executions, trod_requests, the event tables
+// and trod_spans, in one SQL surface.
 package main
 
 import (
@@ -35,7 +42,8 @@ var (
 	stats    = flag.Bool("stats", false, "print the server's Stats response and exit (requires -remote)")
 	jsonOut  = flag.Bool("json", false, "with -stats: print the stats as JSON")
 	promote  = flag.Bool("promote", false, "promote the -remote replica to primary at the next epoch and exit")
-	traceReq = flag.String("trace", "", "render the span tree of a kept trace by request ID and exit (requires -remote and server-side -trace-sample/-trace-keep-ms)")
+	traceReq = flag.String("trace", "", "render the span tree of a kept trace by request ID and exit (requires -remote and server-side -prov with -trace-sample/-trace-keep-ms)")
+	provSQL  = flag.Bool("prov", false, "run statements read-only against the server's provenance database (requires -remote)")
 )
 
 // queryer runs one SQL statement; the local (embedded DB) and remote
@@ -52,10 +60,17 @@ func (l localDB) Query(sql string, args ...any) (*trod.Rows, error) { return l.d
 func (l localDB) Tables() []string                                  { return l.d.Store().Tables() }
 func (l localDB) Close() error                                      { return l.d.Close() }
 
-type remoteDB struct{ c *client.Client }
+type remoteDB struct {
+	c    *client.Client
+	prov bool // statements go to the provenance database (-prov)
+}
 
 func (r remoteDB) Query(sql string, args ...any) (*trod.Rows, error) {
-	res, err := r.c.Query(sql, args...)
+	query := r.c.Query
+	if r.prov {
+		query = r.c.ProvQuery
+	}
+	res, err := query(sql, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -93,6 +108,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "trod-query: -trace requires -remote")
 		flag.Usage()
 		os.Exit(2)
+	case *provSQL && *remote == "":
+		fmt.Fprintln(os.Stderr, "trod-query: -prov requires -remote (open a provenance WAL locally with -db)")
+		flag.Usage()
+		os.Exit(2)
 	case *remote != "":
 		c, err := client.Dial(*remote, client.Options{})
 		if err != nil {
@@ -125,7 +144,7 @@ func main() {
 			}
 			return
 		}
-		q = remoteDB{c}
+		q = remoteDB{c: c, prov: *provSQL}
 	case *dbPath != "":
 		d, err := trod.OpenDiskDBNoSync(*dbPath)
 		if err != nil {
@@ -201,17 +220,17 @@ func runOne(q queryer, stmt string) error {
 	return nil
 }
 
-// renderTrace fetches a kept trace's spans from the server's trod_spans
-// system table and prints the span tree with per-stage durations and the
-// critical path. Multiple traces can share a request ID only across retries;
-// the newest (highest trace ID) wins.
+// renderTrace fetches a kept trace's spans from the provenance trod_spans
+// table and prints the span tree with per-stage durations and the critical
+// path. Multiple traces can share a request ID only across retries; the
+// newest (highest trace ID) wins.
 func renderTrace(c *client.Client, reqID string) error {
-	res, err := c.Query(`SELECT trace_id, kind, status, span_id, parent_id, stage, start_us, dur_us, seq FROM trod_spans WHERE req_id = ?`, reqID)
+	res, err := c.ProvQuery(`SELECT trace_id, kind, status, span_id, parent_id, stage, start_us, dur_us, seq FROM trod_spans WHERE req_id = ?`, reqID)
 	if err != nil {
 		return err
 	}
 	if len(res.Rows) == 0 {
-		return fmt.Errorf("no kept trace for request %q (server needs -trace-sample or -trace-keep-ms, and the trace must have been kept)", reqID)
+		return fmt.Errorf("no kept trace for request %q (server needs -prov plus -trace-sample or -trace-keep-ms, and the trace must have been kept)", reqID)
 	}
 	var newest int64
 	for _, row := range res.Rows {
@@ -246,7 +265,7 @@ func renderTrace(c *client.Client, reqID string) error {
 	}
 	fmt.Print(span.Render(t))
 	if t.Seq != 0 {
-		fmt.Printf("commit seq %d — replay it: trod-query -db <wal> \"...\" at BeginAt(%d), or inspect provenance via req_id\n", t.Seq, t.Seq)
+		fmt.Printf("commit seq %d — replay it at BeginAt(%d); its Executions row: trod-query -remote <addr> -prov \"SELECT * FROM Executions WHERE ReqId = '%s'\"\n", t.Seq, t.Seq, reqID)
 	}
 	return nil
 }

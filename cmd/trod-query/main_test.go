@@ -10,8 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/db"
+	"repro/internal/runtime"
 	"repro/internal/server"
+	"repro/internal/span"
+	"repro/internal/trace"
 )
 
 // TestMain lets the test binary run the real main when re-executed by the
@@ -79,6 +83,85 @@ func TestStatsRequiresRemote(t *testing.T) {
 	}
 	if !strings.Contains(out, "-stats requires -remote") {
 		t.Fatalf("missing -stats requirement message:\n%s", out)
+	}
+}
+
+func TestProvRequiresRemote(t *testing.T) {
+	out, code := runMain(t, "-prov", "SELECT 1")
+	if code != 2 {
+		t.Fatalf("-prov without -remote exited %d, want 2; output:\n%s", code, out)
+	}
+	if !strings.Contains(out, "-prov requires -remote") {
+		t.Fatalf("missing -prov requirement message:\n%s", out)
+	}
+}
+
+// serve runs srv on a loopback port until the test ends.
+func serve(t *testing.T, srv *server.Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		<-done
+	})
+	return ln.Addr().String()
+}
+
+// TestProvAndTraceAgainstLiveServer: against a span-traced server with a
+// provenance database, -prov answers SQL over trod_spans joined to
+// Executions, and -trace renders the same spans as a tree.
+func TestProvAndTraceAgainstLiveServer(t *testing.T) {
+	d, prov := db.MustOpenMemory(), db.MustOpenMemory()
+	app := runtime.New(d)
+	tr, err := trace.Attach(app, prov, trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close(); prov.Close(); d.Close() })
+	srv, err := server.New(server.Config{DB: d, App: app, Tracer: tr,
+		Spans: span.NewCollector(span.CollectorOptions{Sample: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serve(t, srv)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	// The session serves its requests in order, and a request's kept trace
+	// is pushed before the next frame is read: once the ping on the same
+	// pooled connection answers, the INSERT's spans are in the tracer.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.ProvQuery(`SELECT ReqId FROM Executions WHERE CommitSeq > 0`)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("committed executions = %v, %v; want the INSERT alone", res, err)
+	}
+	req := res.Rows[0][0].AsText()
+
+	out, code := runMain(t, "-remote", addr, "-prov",
+		"SELECT S.stage, E.CommitSeq FROM trod_spans AS S JOIN Executions AS E ON S.req_id = E.ReqId WHERE S.req_id = '"+req+"'")
+	if code != 0 || !strings.Contains(out, "occ_validate") {
+		t.Fatalf("-prov join exited %d:\n%s", code, out)
+	}
+	out, code = runMain(t, "-remote", addr, "-trace", req)
+	if code != 0 || !strings.Contains(out, "req "+req) || !strings.Contains(out, "commit seq") {
+		t.Fatalf("-trace %s exited %d:\n%s", req, code, out)
 	}
 }
 

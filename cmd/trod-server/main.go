@@ -26,19 +26,20 @@
 // With -slow-query-ms N, every statement slower than N milliseconds emits a
 // structured JSON line on stderr (query text, latency, plan shape, request
 // ID). With -prov the server attaches the always-on tracer: every remote
-// request is recorded in the given provenance database, and slow-query
-// request IDs resolve there (SELECT * FROM trod_requests WHERE ReqId = ...).
+// request is recorded in the given provenance database, which clients query
+// read-only over the wire (trod-query -remote addr -prov "SELECT ..."), and
+// slow-query request IDs resolve there (trod_requests, Executions).
 //
 // With -trace-sample P and/or -trace-keep-ms N, requests are span-traced
 // across every layer (framing, parse/plan, execute, OCC validation, WAL
 // append/fsync, quorum wait) and tail-sampled at completion: errors,
 // conflicts, and requests slower than N ms are always kept, the rest with
-// probability P. Kept traces land in the in-memory trod_spans system table
-// (query it over SQL, or render one with trod-query -trace <req_id>), feed
-// the trod_span_stage_seconds histogram, and add a per-stage `spans`
-// breakdown to slow-query log lines. On a traced primary, replicated
-// commits carry the originating trace ID so replica-side apply spans
-// correlate with the request that caused them.
+// probability P. Kept traces feed the trod_span_stage_seconds histogram and
+// add a per-stage `spans` breakdown to slow-query log lines. With -prov they
+// also become trod_spans rows in the provenance database, joinable to
+// Executions on the request ID (render one with trod-query -trace <req_id>).
+// On a traced primary, replicated commits carry the originating trace ID so
+// replica-side apply spans correlate with the request that caused them.
 package main
 
 import (
@@ -122,8 +123,9 @@ func main() {
 		cfg.SlowQueryThreshold = time.Duration(*slowQueryMs) * time.Millisecond
 		cfg.SlowQueryOutput = os.Stderr
 	}
-	// Request-scoped span tracing: tail-sampled traces land in the trod_spans
-	// system table (SELECT ... FROM trod_spans, or trod-query -trace <req_id>).
+	// Request-scoped span tracing: tail-sampled traces feed the stage
+	// histograms and slow-query lines, and with -prov the provenance
+	// trod_spans table (trod-query -prov, or -trace <req_id>).
 	spanCol := span.NewCollector(span.CollectorOptions{
 		Sample:   *traceSample,
 		KeepOver: time.Duration(*traceKeepMs) * time.Millisecond,
@@ -135,9 +137,9 @@ func main() {
 		cfg.Spans = spanCol
 		log.Printf("span tracing enabled: sample=%g keep-over=%dms", *traceSample, *traceKeepMs)
 	}
-	// Always-on tracing: requests, statements, and row provenance land in
-	// a second database, queryable with the same SQL engine. Slow-query
-	// request IDs resolve there.
+	// Always-on tracing: requests, statements, row provenance and kept
+	// spans land in a second database, queryable with the same SQL engine
+	// (read-only over the wire). Slow-query request IDs resolve there.
 	var tracer *trace.Tracer
 	if *provPath != "" {
 		prov, err := trod.OpenDB(trod.DBOptions{Mode: db.Disk, Path: *provPath})
@@ -152,7 +154,7 @@ func main() {
 		}
 		defer tracer.Close()
 		cfg.App = app
-		cfg.TracerStats = tracer.Counters
+		cfg.Tracer = tracer
 		log.Printf("always-on tracing to %s", *provPath)
 	}
 	// The replication epoch lives next to the WAL and fences a deposed
@@ -168,8 +170,9 @@ func main() {
 		ropts := repl.ReplicaOptions{Epoch: epoch}
 		if spanCol.Enabled() {
 			// Traced commits from the primary record their apply cost here,
-			// under the originating request's trace ID: querying this node's
-			// trod_spans by trace_id (or seq) shows the replica-side spans.
+			// under the originating request's trace ID: with -prov, this
+			// node's trod_spans by trace_id (or seq) shows the replica-side
+			// spans.
 			ropts.SpanSink = func(traceID, seq uint64, start time.Time, applyNs, walNs int64) {
 				buf := span.NewBuf(traceID, 0)
 				startNs := start.UnixNano()

@@ -323,24 +323,28 @@ func (c *Client) Ping() error {
 
 // Query runs one statement in autocommit mode and returns its result set.
 func (c *Client) Query(sql string, args ...any) (*Result, error) {
-	row, err := toArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(&protocol.Message{Type: protocol.MsgQuery, SQL: sql, Args: row})
-	if err != nil {
-		return nil, err
-	}
-	return resultFrom(resp)
+	return c.statement(protocol.MsgQuery, sql, args)
 }
 
 // Exec is Query for writes and DDL; provided for call-site clarity.
 func (c *Client) Exec(sql string, args ...any) (*Result, error) {
+	return c.statement(protocol.MsgExec, sql, args)
+}
+
+// ProvQuery runs one read-only statement against the server's provenance
+// database (Executions, trod_requests, event tables, trod_spans) after the
+// server flushes its tracer. Writes and DDL fail with CodeReadOnlyTxn; a
+// server without a provenance database answers CodeBadRequest.
+func (c *Client) ProvQuery(sql string, args ...any) (*Result, error) {
+	return c.statement(protocol.MsgProvQuery, sql, args)
+}
+
+func (c *Client) statement(typ protocol.MsgType, sql string, args []any) (*Result, error) {
 	row, err := toArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.do(&protocol.Message{Type: protocol.MsgExec, SQL: sql, Args: row})
+	resp, err := c.do(&protocol.Message{Type: typ, SQL: sql, Args: row})
 	if err != nil {
 		return nil, err
 	}

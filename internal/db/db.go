@@ -1294,6 +1294,9 @@ func (tx *Tx) Exec(query string, args ...any) (*Rows, error) {
 		return nil, err
 	}
 	if isDDL(stmt) {
+		if tx.inner.ReadOnly() {
+			return nil, fmt.Errorf("db: DDL in a read-only transaction: %w", ErrReadOnlyTxn)
+		}
 		return nil, errors.New("db: DDL is not allowed inside a transaction")
 	}
 	vals, err := convertArgs(args)

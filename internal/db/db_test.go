@@ -106,6 +106,13 @@ func TestDDLInsideTxnRejected(t *testing.T) {
 	if _, err := tx.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`); err == nil {
 		t.Error("DDL inside txn should fail")
 	}
+	// In a read-only transaction the rejection is the typed read-only error,
+	// which the server maps to a read-only-txn wire code.
+	ro := d.BeginReadOnly()
+	defer ro.Rollback()
+	if _, err := ro.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`); !errors.Is(err, ErrReadOnlyTxn) {
+		t.Errorf("DDL inside a read-only txn: err = %v, want ErrReadOnlyTxn", err)
+	}
 }
 
 func TestTransactionControlViaSQLRejected(t *testing.T) {

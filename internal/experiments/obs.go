@@ -237,7 +237,7 @@ func RunObsHotKey(workers, opsPerWorker int) (*ObsHotKeyResult, error) {
 		App:                app,
 		MaxConns:           workers + 4,
 		TxnTimeout:         30 * time.Second,
-		TracerStats:        tr.Counters,
+		Tracer:             tr,
 		SlowQueryThreshold: obsSlowThreshold,
 		SlowQueryOutput:    &slow,
 	})

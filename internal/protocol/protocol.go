@@ -64,6 +64,11 @@ const (
 	// subscriber confirms it has applied every commit up to Seq under Epoch.
 	// Acks feed the primary's quorum watermark and per-subscriber lag stats.
 	MsgAck
+	// MsgProvQuery carries one SQL statement (MsgQuery's fields) for the
+	// server's provenance database: Executions, trod_requests, the event
+	// tables and trod_spans. It runs in a read-only transaction after the
+	// tracer flushes, so writes and DDL fail with CodeReadOnlyTxn.
+	MsgProvQuery
 )
 
 // Response messages (server -> client).
@@ -479,7 +484,7 @@ func readBool(src []byte, off int) (bool, int, error) {
 func EncodeMessage(dst []byte, m *Message) []byte {
 	dst = append(dst, byte(m.Type))
 	switch m.Type {
-	case MsgQuery, MsgExec:
+	case MsgQuery, MsgExec, MsgProvQuery:
 		dst = appendString(dst, m.SQL)
 		dst = value.EncodeRow(dst, m.Args)
 		dst = appendTraceContext(dst, m)
@@ -640,7 +645,7 @@ func DecodeMessage(payload []byte) (*Message, error) {
 		if off, err = decodeTraceContext(m, payload, off); err != nil {
 			return nil, err
 		}
-	case MsgQuery, MsgExec:
+	case MsgQuery, MsgExec, MsgProvQuery:
 		if m.SQL, off, err = readString(payload, off); err != nil {
 			return nil, err
 		}

@@ -41,6 +41,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 	if q.Args[0].AsInt() != 42 || q.Args[1].AsText() != "π — naïve" {
 		t.Fatalf("args round trip: %+v", q.Args)
 	}
+	pq := roundtrip(t, &Message{Type: MsgProvQuery, SQL: "SELECT * FROM trod_spans WHERE req_id = ?", Args: value.Row{value.Text("R7")}})
+	if pq.Type != MsgProvQuery || pq.SQL != "SELECT * FROM trod_spans WHERE req_id = ?" || len(pq.Args) != 1 || pq.Args[0].AsText() != "R7" {
+		t.Fatalf("prov query round trip: %+v", pq)
+	}
 
 	res := roundtrip(t, &Message{
 		Type:    MsgResult,

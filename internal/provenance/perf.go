@@ -201,6 +201,18 @@ func (w *Writer) Expire(beforeLogical uint64) (int, error) {
 			total += del.RowsAffected
 		}
 	}
+	// Kept spans carry no logical time; they expire with their request.
+	res, err := w.prov.Query(`SELECT ReqId FROM trod_requests WHERE Timestamp < ?`, int64(beforeLogical))
+	if err != nil {
+		return total, err
+	}
+	for _, r := range res.Rows {
+		del, err := w.prov.Exec(`DELETE FROM trod_spans WHERE req_id = ?`, r[0].AsText())
+		if err != nil {
+			return total, err
+		}
+		total += del.RowsAffected
+	}
 	for _, stmt := range []string{
 		`DELETE FROM Executions WHERE Timestamp < ?`,
 		`DELETE FROM trod_requests WHERE Timestamp < ?`,

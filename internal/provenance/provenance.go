@@ -14,6 +14,10 @@
 //	trod_rpc_edges    — the workflow graph: parent/child invocation edges
 //	                    (used by §4.2 exfiltration tracing).
 //	trod_externals    — external-service calls (assumed idempotent).
+//	trod_spans        — one row per span of every kept request trace
+//	                    (internal/span), joinable to Executions on
+//	                    req_id = ReqId; seq is the commit sequence a
+//	                    commit-pinned stage belongs to.
 //	<T>Events         — one per traced application table (e.g. ForumEvents
 //	                    for forum_sub): Read/Insert/Update/Delete events
 //	                    with the observed row values ("Table 2").
@@ -26,6 +30,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/schema"
+	"repro/internal/span"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -72,6 +77,9 @@ type Event struct {
 	Service string
 	Payload string
 
+	// Kept request traces (KindSpan): one trod_spans row per span.
+	Span *span.Trace
+
 	// Logical is the tracer-assigned total-order timestamp.
 	Logical uint64
 }
@@ -86,6 +94,7 @@ const (
 	KindRequest
 	KindEdge
 	KindExternal
+	KindSpan
 )
 
 // Writer applies events to the provenance database.
@@ -109,6 +118,7 @@ type Writer struct {
 	reqTbl  *schema.Table
 	edgeTbl *schema.Table
 	extTbl  *schema.Table
+	spanTbl *schema.Table
 	// mu serialises ApplyBatch: the tracer's background flusher and an
 	// explicit Flush may drain concurrently, and the synthetic-ID counters
 	// plus the single-writer commit assumption require exclusion.
@@ -116,6 +126,7 @@ type Writer struct {
 	evSeq   uint64
 	edgeSeq uint64
 	extSeq  uint64
+	spanSeq uint64
 }
 
 // Setup creates the provenance schema inside prov for the given application
@@ -142,21 +153,30 @@ func Setup(prov *db.DB, appDB *db.DB, tables TableMap) (*Writer, error) {
 		HandlerName TEXT, Timestamp INTEGER);
 	CREATE TABLE IF NOT EXISTS trod_externals (
 		CallId INTEGER PRIMARY KEY, ReqId TEXT, Service TEXT, Payload TEXT,
-		Timestamp INTEGER);`
+		Timestamp INTEGER);
+	CREATE TABLE IF NOT EXISTS trod_spans (
+		id INTEGER PRIMARY KEY, trace_id INTEGER, req_id TEXT, kind TEXT,
+		status TEXT, span_id INTEGER, parent_id INTEGER, stage TEXT,
+		start_us INTEGER, dur_us INTEGER, seq INTEGER);`
 	if err := prov.ExecScript(ddl); err != nil {
 		return nil, fmt.Errorf("provenance: schema: %w", err)
 	}
-	// CREATE INDEX has no IF NOT EXISTS in our dialect; create it only when
-	// absent (the prov DB may be re-attached across runs).
-	hasIdx := false
-	for _, ix := range prov.Store().Indexes("Executions") {
-		if strings.EqualFold(ix.Name, "ex_req") {
-			hasIdx = true
+	// CREATE INDEX has no IF NOT EXISTS in our dialect; create each index
+	// only when absent (the prov DB may be re-attached across runs).
+	for _, ix := range []struct{ name, table, col string }{
+		{"ex_req", "Executions", "ReqId"},
+		{"spans_req", "trod_spans", "req_id"},
+	} {
+		hasIdx := false
+		for _, have := range prov.Store().Indexes(ix.table) {
+			if strings.EqualFold(have.Name, ix.name) {
+				hasIdx = true
+			}
 		}
-	}
-	if !hasIdx {
-		if _, err := prov.Exec(`CREATE INDEX ex_req ON Executions (ReqId)`); err != nil {
-			return nil, err
+		if !hasIdx {
+			if _, err := prov.Exec(fmt.Sprintf("CREATE INDEX %s ON %s (%s)", ix.name, ix.table, ix.col)); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -189,6 +209,7 @@ func Setup(prov *db.DB, appDB *db.DB, tables TableMap) (*Writer, error) {
 	w.reqTbl = prov.Store().Table("trod_requests")
 	w.edgeTbl = prov.Store().Table("trod_rpc_edges")
 	w.extTbl = prov.Store().Table("trod_externals")
+	w.spanTbl = prov.Store().Table("trod_spans")
 	// Resume the synthetic-ID counters past any recovered rows, so a
 	// tracer re-attached to a durable provenance database keeps appending
 	// (the restart arc in the root durability tests).
@@ -213,6 +234,9 @@ func Setup(prov *db.DB, appDB *db.DB, tables TableMap) (*Writer, error) {
 		return nil, err
 	}
 	if w.extSeq, err = maxOf("trod_externals", "CallId"); err != nil {
+		return nil, err
+	}
+	if w.spanSeq, err = maxOf("trod_spans", "id"); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -324,6 +348,8 @@ func (w *Writer) appendChanges(changes []storage.Change, ev *Event) ([]storage.C
 			value.Text(ev.Payload), value.Int(int64(ev.Logical)),
 		}
 		return w.appendRow(changes, w.extTbl, row)
+	case KindSpan:
+		return w.appendSpans(changes, ev.Span)
 	default:
 		return nil, fmt.Errorf("provenance: unknown event kind %d", ev.Kind)
 	}
@@ -340,6 +366,26 @@ func (w *Writer) appendRow(changes []storage.Change, tbl *schema.Table, row valu
 		Op:    storage.OpInsert,
 		After: checked,
 	}), nil
+}
+
+// appendSpans renders a kept trace as one trod_spans row per span. Times
+// are microseconds (start_us is unix-epoch).
+func (w *Writer) appendSpans(changes []storage.Change, t *span.Trace) ([]storage.Change, error) {
+	var err error
+	for i := range t.Spans {
+		sp := &t.Spans[i]
+		w.spanSeq++
+		row := value.Row{
+			value.Int(int64(w.spanSeq)), value.Int(int64(t.TraceID)), value.Text(t.ReqID),
+			value.Text(t.Kind), value.Text(t.Status), value.Int(int64(sp.ID)),
+			value.Int(int64(sp.Parent)), value.Text(sp.Stage.String()),
+			value.Int(sp.Start / 1e3), value.Int(sp.Dur / 1e3), value.Int(int64(sp.Seq)),
+		}
+		if changes, err = w.appendRow(changes, w.spanTbl, row); err != nil {
+			return nil, err
+		}
+	}
+	return changes, nil
 }
 
 func (w *Writer) appendTxn(changes []storage.Change, ev *Event) ([]storage.Change, error) {

@@ -2,11 +2,13 @@ package provenance
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/span"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -251,9 +253,11 @@ func TestForgetAndExpire(t *testing.T) {
 		txnEvent(1, 1, "R1", "h", "f", true, 10),
 		writeEvent(1, 2, 1, "alice-data", 1),
 		requestEvent("R1", "h", 3, 10, "ok"),
+		spanEvent(1, "R1", 3, 4),
 		txnEvent(2, 100, "R2", "h", "f", true, 10),
 		writeEvent(2, 101, 2, "bob-data", 2),
 		requestEvent("R2", "h", 102, 10, "ok"),
+		spanEvent(2, "R2", 2, 103),
 	}
 	if err := w.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
@@ -283,6 +287,11 @@ func TestForgetAndExpire(t *testing.T) {
 	rows, _ = prov.Query(`SELECT COUNT(*) FROM ItemEvents`)
 	if rows.Rows[0][0].AsInt() != 1 {
 		t.Errorf("events after expire = %v", rows.Rows[0][0])
+	}
+	// Spans expire with their request: only R2's two remain.
+	rows, _ = prov.Query(`SELECT req_id FROM trod_spans`)
+	if len(rows.Rows) != 2 || rows.Rows[0][0].AsText() != "R2" {
+		t.Errorf("spans after expire = %v", rows.Rows)
 	}
 	// The surviving data is R2's.
 	req, err := w.RequestByID("R2")
@@ -329,5 +338,77 @@ func TestEventTableSchemaMirrorsAppColumns(t *testing.T) {
 	want := []string{"EvId", "TxnId", "Seq", "Type", "Query", "id", "name", "price"}
 	if fmt.Sprint(names) != fmt.Sprint(want) {
 		t.Errorf("event table columns = %v, want %v", names, want)
+	}
+}
+
+// spanEvent is a kept trace of n spans for one request, committed at seq.
+func spanEvent(traceID uint64, reqID string, n int, seq uint64) Event {
+	tr := &span.Trace{TraceID: traceID, ReqID: reqID, Kind: "exec", Status: "ok", Seq: seq}
+	for i := 0; i < n; i++ {
+		tr.Spans = append(tr.Spans, span.Span{ID: uint32(i + 1), Stage: span.Stage(i), Start: 5_000, Dur: 2_000, Seq: seq})
+	}
+	return Event{Kind: KindSpan, Span: tr, Logical: seq}
+}
+
+// TestSpansRoundTrip: a kept trace becomes one trod_spans row per span with
+// the trace's identity, stage names and microsecond times.
+func TestSpansRoundTrip(t *testing.T) {
+	w, prov := writerFixture(t)
+	if err := w.ApplyBatch([]Event{spanEvent(7, "R1", 3, 42)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := prov.Query(`SELECT trace_id, req_id, kind, status, span_id, stage, start_us, dur_us, seq FROM trod_spans ORDER BY id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("trod_spans rows = %d, want 3", len(res.Rows))
+	}
+	for i, r := range res.Rows {
+		if r[0].AsInt() != 7 || r[1].AsText() != "R1" || r[2].AsText() != "exec" || r[3].AsText() != "ok" ||
+			r[4].AsInt() != int64(i+1) || r[5].AsText() != span.Stage(i).String() ||
+			r[6].AsInt() != 5 || r[7].AsInt() != 2 || r[8].AsInt() != 42 {
+			t.Errorf("row %d = %v", i, r)
+		}
+	}
+}
+
+// TestSpanIDsResumeOnDiskReattach: a disk provenance database re-attached
+// after a restart keeps appending span rows past the recovered ones instead
+// of colliding on the primary key.
+func TestSpanIDsResumeOnDiskReattach(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "prov.wal")
+	appDB := db.MustOpenMemory()
+	defer appDB.Close()
+	attach := func() (*Writer, *db.DB) {
+		t.Helper()
+		prov, err := db.Open(db.Options{Mode: db.Disk, Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Setup(prov, appDB, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, prov
+	}
+	w, prov := attach()
+	if err := w.ApplyBatch([]Event{spanEvent(1, "R1", 3, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := prov.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, prov = attach()
+	defer prov.Close()
+	if err := w.ApplyBatch([]Event{spanEvent(2, "R2", 2, 2)}); err != nil {
+		t.Fatalf("span batch after re-attach: %v", err)
+	}
+	res, err := prov.Query(`SELECT COUNT(*), MAX(id) FROM trod_spans`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, top := res.Rows[0][0].AsInt(), res.Rows[0][1].AsInt(); n != 5 || top != 5 {
+		t.Fatalf("after re-attach: %d span rows, max id %d; want 5 and 5", n, top)
 	}
 }

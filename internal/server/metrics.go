@@ -63,6 +63,8 @@ func msgTypeName(t protocol.MsgType) string {
 		return "stats"
 	case protocol.MsgPromote:
 		return "promote"
+	case protocol.MsgProvQuery:
+		return "prov_query"
 	default:
 		return "other"
 	}
@@ -80,6 +82,7 @@ func (s *Server) newInstruments() {
 	for _, t := range []protocol.MsgType{
 		protocol.MsgPing, protocol.MsgQuery, protocol.MsgExec, protocol.MsgBegin,
 		protocol.MsgCommit, protocol.MsgRollback, protocol.MsgStats, protocol.MsgPromote,
+		protocol.MsgProvQuery,
 	} {
 		s.latByType[t] = s.latVec.With(msgTypeName(t))
 	}
@@ -154,12 +157,6 @@ func (s *Server) RegisterMetrics(reg *metrics.Registry) {
 		reg.CounterFunc("trod_span_traces_sampled_out_total",
 			"Traces dropped by the probabilistic tail sampler.",
 			func() uint64 { return c.Stats().Sampled })
-		reg.CounterFunc("trod_span_store_inserted_total",
-			"Kept traces written to the trod_spans system table.",
-			func() uint64 { return s.spanStore.inserted.Load() })
-		reg.CounterFunc("trod_span_store_dropped_total",
-			"Kept traces dropped before reaching trod_spans (writer queue full or insert failure).",
-			func() uint64 { return s.spanStore.dropped.Load() })
 	}
 
 	if src := s.cfg.Source; src != nil {

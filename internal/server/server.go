@@ -46,6 +46,7 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/span"
 	"repro/internal/storage"
+	"repro/internal/trace"
 )
 
 // Config configures a Server. DB is required; everything else defaults.
@@ -86,10 +87,11 @@ type Config struct {
 	// (write statements are already rejected by the read-only DB). Implied
 	// by Replica but also settable on its own.
 	ReadOnly bool
-	// TracerStats, when set, feeds the tracer counters (events, drops,
-	// flushes) into Stats and the metrics endpoint. A hook instead of a
-	// *trace.Tracer keeps the server package free of a tracer dependency.
-	TracerStats func() (events, drops, flushes uint64)
+	// Tracer, when set, is the always-on tracer attached to App: its
+	// counters feed Stats, its provenance database answers MsgProvQuery
+	// (read-only), and kept span traces (Spans) go through its ring into
+	// the provenance trod_spans table.
+	Tracer *trace.Tracer
 	// SlowQueryThreshold enables the slow-query log: any query or exec
 	// statement whose frame-to-response latency meets or exceeds it emits
 	// one JSON line on SlowQueryOutput. Zero disables.
@@ -99,9 +101,9 @@ type Config struct {
 	SlowQueryOutput io.Writer
 	// Spans, when set, enables request-scoped span tracing: every query,
 	// exec, and transaction-control request records a cross-layer span tree,
-	// tail-sampled at completion by this collector. Kept traces land in the
-	// self-hosted trod_spans system table (queryable over normal SQL) and
-	// every recorded stage feeds the trod_span_stage_seconds histograms.
+	// tail-sampled at completion by this collector. Every recorded stage
+	// feeds the trod_span_stage_seconds histograms; with a Tracer, kept
+	// traces also become trod_spans rows in the provenance database.
 	Spans *span.Collector
 }
 
@@ -168,7 +170,6 @@ type Server struct {
 	// Span tracing (nil/empty unless cfg.Spans is set; see spans.go).
 	spanVec     *metrics.HistogramVec
 	spanByStage []*metrics.Histogram // indexed by span.Stage
-	spanStore   *spanStore           // trod_spans system table
 
 	// afterRequest, when set, runs once a request's post-response work (span
 	// completion, the slow-query check) is done. The client's ack comes
@@ -195,16 +196,13 @@ func New(cfg Config) (*Server, error) {
 		s.slow = &slowLog{w: cfg.SlowQueryOutput}
 	}
 	if cfg.Spans.Enabled() {
-		st, err := newSpanStore()
-		if err != nil {
-			return nil, fmt.Errorf("server: spans store: %w", err)
-		}
-		s.spanStore = st
-		// Kept traces flow to the trod_spans table; commit sequences map back
-		// to their trace so the replication source can stamp outgoing log
-		// entries (and replicas can correlate their apply spans).
-		cfg.Spans.SetOnKeep(st.enqueue)
+		// Commit sequences map back to their trace so the replication source
+		// can stamp outgoing log entries (and replicas can correlate their
+		// apply spans); kept traces ride the tracer into provenance.
 		cfg.DB.SetSpanHooks(cfg.Spans.RegisterSeq)
+		if cfg.Tracer != nil {
+			cfg.Spans.SetOnKeep(cfg.Tracer.Span)
+		}
 	}
 	return s, nil
 }
@@ -368,9 +366,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if s.spanStore != nil {
-		s.spanStore.close()
-	}
 	return s.cfg.DB.Checkpoint()
 }
 
@@ -392,9 +387,6 @@ func (s *Server) Kill() {
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
-	}
-	if s.spanStore != nil {
-		s.spanStore.close()
 	}
 }
 
@@ -420,8 +412,8 @@ func (s *Server) Stats() protocol.Stats {
 	}
 	st.DBCommits, st.DBConflicts = s.cfg.DB.CommitStats()
 	st.Checkpoints = s.cfg.DB.Checkpoints()
-	if s.cfg.TracerStats != nil {
-		st.TracerEvents, st.TracerDrops, st.TracerFlushes = s.cfg.TracerStats()
+	if s.cfg.Tracer != nil {
+		st.TracerEvents, st.TracerDrops, st.TracerFlushes = s.cfg.Tracer.Counters()
 	}
 	if src := s.cfg.Source; src != nil {
 		st.Subscribers = uint64(src.Subscribers())
@@ -640,6 +632,8 @@ func (ss *session) handle(req *protocol.Message, sp *span.Buf) *protocol.Message
 		return ss.rollbackTx()
 	case protocol.MsgQuery, protocol.MsgExec:
 		return ss.execSQL(req, sp)
+	case protocol.MsgProvQuery:
+		return ss.provQuery(req)
 	case protocol.MsgPromote:
 		return ss.promote(req)
 	default:
@@ -725,15 +719,8 @@ func (ss *session) rollbackTx() *protocol.Message {
 
 // execSQL runs one statement: on the session's interactive transaction when
 // one is open, otherwise autocommit (with the engine's conflict retry).
-// Statements over the trod_spans system table route to the spans store.
 func (ss *session) execSQL(req *protocol.Message, sp *span.Buf) *protocol.Message {
-	if ss.srv.spanStore != nil && usesSpanTable(req.SQL) {
-		return ss.execSpansSQL(req)
-	}
-	args := make([]any, len(req.Args))
-	for i, v := range req.Args {
-		args[i] = v
-	}
+	args := anyArgs(req)
 	var rows *db.Rows
 	var err error
 	if ss.tx != nil {
@@ -761,6 +748,39 @@ func (ss *session) execSQL(req *protocol.Message, sp *span.Buf) *protocol.Messag
 	if err != nil {
 		return ss.sqlError(err)
 	}
+	return result(rows)
+}
+
+// provQuery runs one statement against the tracer's provenance database in
+// a read-only snapshot transaction, outside any interactive transaction.
+// The tracer is flushed first, so the snapshot holds every event pushed
+// before the request, kept span traces included.
+func (ss *session) provQuery(req *protocol.Message) *protocol.Message {
+	tr := ss.srv.cfg.Tracer
+	if tr == nil {
+		return errMsg(protocol.CodeBadRequest, "this server has no provenance database; start it with -prov")
+	}
+	if err := tr.Flush(); err != nil {
+		return ss.sqlError(fmt.Errorf("provenance flush: %w", err))
+	}
+	tx := tr.Prov().BeginReadOnly()
+	defer tx.Rollback()
+	rows, err := tx.Query(req.SQL, anyArgs(req)...)
+	if err != nil {
+		return ss.sqlError(err)
+	}
+	return result(rows)
+}
+
+func anyArgs(req *protocol.Message) []any {
+	args := make([]any, len(req.Args))
+	for i, v := range req.Args {
+		args[i] = v
+	}
+	return args
+}
+
+func result(rows *db.Rows) *protocol.Message {
 	resp := &protocol.Message{Type: protocol.MsgResult}
 	if rows != nil {
 		resp.Columns = rows.Columns

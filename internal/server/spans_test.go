@@ -7,9 +7,32 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/db"
+	"repro/internal/protocol"
+	"repro/internal/runtime"
 	"repro/internal/span"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
+
+// tracedServer boots a server over an in-memory database with an always-on
+// tracer attached (cfg.App and cfg.Tracer), the way trod-server -prov runs.
+// wait blocks until every request's post-response work (kept-trace push
+// included) is done.
+func tracedServer(t *testing.T, cfg Config) (addr string, wait func(), tr *trace.Tracer) {
+	t.Helper()
+	d := db.MustOpenMemory()
+	prov := db.MustOpenMemory()
+	app := runtime.New(d)
+	tr, err := trace.Attach(app, prov, trace.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered before the server's cleanup, so it runs after shutdown.
+	t.Cleanup(func() { tr.Close(); prov.Close(); d.Close() })
+	cfg.App, cfg.Tracer = app, tr
+	_, addr, wait = settledServer(t, d, cfg)
+	return addr, wait, tr
+}
 
 // findTrace polls the collector for the newest kept trace of a request kind.
 func findTrace(t *testing.T, col *span.Collector, kind string) *span.Trace {
@@ -35,11 +58,12 @@ func stages(tr *span.Trace) map[string]int {
 }
 
 // TestSpansEndToEnd drives traced requests through a live server and follows
-// the whole observability path: collector capture, the trod_spans system
-// table served over normal SQL, and agreement between the two.
+// the whole observability path: collector capture, the tracer writing kept
+// traces to the provenance trod_spans table, and one over-the-wire SQL
+// statement joining a trace's spans to its Executions row and commit seq.
 func TestSpansEndToEnd(t *testing.T) {
 	col := span.NewCollector(span.CollectorOptions{Sample: 1})
-	_, addr := memServer(t, Config{Spans: col})
+	addr, settled, _ := tracedServer(t, Config{Spans: col})
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +79,10 @@ func TestSpansEndToEnd(t *testing.T) {
 	if _, err := c.Query(`SELECT v FROM t WHERE id = 1`); err != nil {
 		t.Fatal(err)
 	}
+	settled()
 
 	ins := findTrace(t, col, "exec")
-	if ins.Status != "ok" || ins.ReqID == "" {
+	if ins.Status != "ok" || ins.ReqID == "" || ins.Seq == 0 {
 		t.Fatalf("insert trace malformed: %+v", ins)
 	}
 	st := stages(ins)
@@ -71,19 +96,75 @@ func TestSpansEndToEnd(t *testing.T) {
 		t.Fatalf("query trace missing stages: %v", stages(q))
 	}
 
-	// The same spans must be queryable over plain SQL against the trod_spans
-	// system table (the store writer is async: poll).
-	var rows int
-	waitFor(t, "trod_spans rows for the insert", func() bool {
-		res, err := c.Query(`SELECT stage, dur_us FROM trod_spans WHERE req_id = ?`, ins.ReqID)
-		if err != nil {
-			t.Fatal(err)
+	res, err := c.ProvQuery(`SELECT S.stage, E.CommitSeq FROM trod_spans AS S
+		JOIN Executions AS E ON S.req_id = E.ReqId WHERE S.req_id = ?`, ins.ReqID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != len(ins.Spans) {
+		t.Fatalf("spans ⋈ Executions has %d rows for %s, collector trace has %d spans", len(res.Rows), ins.ReqID, len(ins.Spans))
+	}
+	for _, r := range res.Rows {
+		if seq := uint64(r[1].AsInt()); seq != ins.Seq {
+			t.Fatalf("span %s joins CommitSeq %d, trace seq is %d", r[0].AsText(), seq, ins.Seq)
 		}
-		rows = len(res.Rows)
-		return rows > 0
-	})
-	if rows != len(ins.Spans) {
-		t.Fatalf("trod_spans has %d rows for %s, collector trace has %d spans", rows, ins.ReqID, len(ins.Spans))
+	}
+}
+
+// TestSpansSQLMentionStaysInAppDB: on a span-traced server, an application
+// statement whose text mentions trod_spans runs against the application
+// database like any other.
+func TestSpansSQLMentionStaysInAppDB(t *testing.T) {
+	_, addr := memServer(t, Config{Spans: span.NewCollector(span.CollectorOptions{Sample: 1})})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(`CREATE TABLE notes (id INTEGER PRIMARY KEY, v TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO notes VALUES (1, 'see trod_spans')`); err != nil {
+		t.Fatalf("insert mentioning trod_spans: %v", err)
+	}
+	res, err := c.Query(`SELECT id FROM notes WHERE v = 'see trod_spans'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].AsInt() != 1 {
+		t.Fatalf("notes rows = %v, want the inserted row", res.Rows)
+	}
+}
+
+// TestProvQueryReadOnly: the provenance surface is read-only — writes and
+// DDL fail typed — and a server without a tracer refuses it typed.
+func TestProvQueryReadOnly(t *testing.T) {
+	addr, _, _ := tracedServer(t, Config{})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, stmt := range []string{
+		`INSERT INTO trod_spans (id, req_id) VALUES (1, 'forged')`,
+		`CREATE TABLE forged (id INTEGER PRIMARY KEY)`,
+	} {
+		if _, err := c.ProvQuery(stmt); !protocol.IsReadOnlyTxn(err) {
+			t.Errorf("ProvQuery(%q): err = %v, want read-only-txn", stmt, err)
+		}
+	}
+	if _, err := c.ProvQuery(`SELECT COUNT(*) FROM Executions`); err != nil {
+		t.Fatalf("read over the provenance surface: %v", err)
+	}
+
+	_, plain := memServer(t, Config{})
+	pc, err := client.Dial(plain, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if _, err := pc.ProvQuery(`SELECT COUNT(*) FROM Executions`); !protocol.IsCode(err, protocol.CodeBadRequest) {
+		t.Fatalf("ProvQuery without a tracer: err = %v, want bad-request", err)
 	}
 }
 
@@ -204,19 +285,39 @@ func TestClientTracePropagation(t *testing.T) {
 	}
 }
 
-// TestSpansDisabledNoStore: without a collector the server must not build
-// the trod_spans store, and trod_spans queries fail like any unknown table.
+// TestSpansDisabledNoStore: with a tracer but no span collector, requests
+// leave provenance rows but no trod_spans rows, and the application database
+// has no trod_spans table.
 func TestSpansDisabledNoStore(t *testing.T) {
-	srv, addr := memServer(t, Config{})
-	if srv.spanStore != nil {
-		t.Fatal("span store built with tracing disabled")
-	}
+	addr, settled, tr := tracedServer(t, Config{})
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if _, err := c.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Query(`SELECT * FROM trod_spans`); err == nil {
-		t.Fatal("trod_spans query succeeded with tracing disabled")
+		t.Fatal("trod_spans resolved in the application database")
+	}
+	settled()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for table, want := range map[string]func(int64) bool{
+		"Executions": func(n int64) bool { return n > 0 },
+		"trod_spans": func(n int64) bool { return n == 0 },
+	} {
+		res, err := tr.Prov().Query(`SELECT COUNT(*) FROM ` + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].AsInt(); !want(n) {
+			t.Fatalf("%s has %d rows with span tracing disabled", table, n)
+		}
 	}
 }

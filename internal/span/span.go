@@ -10,8 +10,8 @@
 // method is nil-safe so the disabled-tracing path is a nil check and nothing
 // else. Traces are tail-sampled at request completion by a Collector: error,
 // conflict, and over-threshold traces are always kept, the rest
-// probabilistically, and kept traces ride to sinks (the server's trod_spans
-// system table) via a callback.
+// probabilistically, and kept traces ride to a sink (the tracer, which
+// writes them to the provenance database's trod_spans table) via a callback.
 package span
 
 import (
@@ -21,7 +21,7 @@ import (
 )
 
 // Stage identifies which layer a span's time was spent in. The wire and the
-// trod_spans system table carry the string form; new stages append only.
+// provenance trod_spans table carry the string form; new stages append only.
 type Stage uint8
 
 const (
@@ -272,7 +272,7 @@ func (b *Buf) Spans() []Span {
 }
 
 // Trace is one completed, tail-sampled request: the unit kept in the
-// Collector's ring and written to the trod_spans system table.
+// Collector's ring and written to the provenance trod_spans table.
 type Trace struct {
 	TraceID uint64
 	ReqID   string
@@ -300,10 +300,6 @@ type CollectorOptions struct {
 	KeepOver time.Duration
 	// Capacity bounds the in-memory ring of kept traces (default 256).
 	Capacity int
-	// OnKeep, when set, receives every kept trace after it enters the ring
-	// (the server uses it to feed the trod_spans system table). It runs on
-	// the request path: sinks must be non-blocking (enqueue and return).
-	OnKeep func(*Trace)
 }
 
 // Collector makes the tail-sampling decision at request completion and
@@ -348,7 +344,6 @@ func NewCollector(opts CollectorOptions) *Collector {
 		sample:   opts.Sample,
 		keepOver: opts.KeepOver,
 		capacity: opts.Capacity,
-		onKeep:   opts.OnKeep,
 		bySeq:    make(map[uint64]uint64, 64),
 	}
 }
@@ -370,9 +365,10 @@ func (c *Collector) SeedTraceIDs(base uint64) {
 	c.nextTrace.Store(base)
 }
 
-// SetOnKeep attaches the kept-trace sink after construction — the server
-// wires its trod_spans store here in New, before any traffic. Must not be
-// called once requests are flowing.
+// SetOnKeep attaches the kept-trace sink: every kept trace is passed to fn
+// after it enters the ring. fn runs on the request path and must not block
+// (the server wires the tracer's ring push here in New, before any traffic).
+// Must not be called once requests are flowing.
 func (c *Collector) SetOnKeep(fn func(*Trace)) {
 	if c == nil {
 		return
@@ -466,23 +462,6 @@ func (c *Collector) Traces() []*Trace {
 	out = append(out, c.ring[c.pos:]...)
 	out = append(out, c.ring[:c.pos]...)
 	return out
-}
-
-// Find returns the most recent kept trace for a request ID (nil if absent).
-func (c *Collector) Find(reqID string) *Trace {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var best *Trace
-	// Scan in ring order (oldest first) so the last match is the newest.
-	for _, t := range append(append([]*Trace(nil), c.ring[c.pos:]...), c.ring[:c.pos]...) {
-		if t != nil && t.ReqID == reqID {
-			best = t
-		}
-	}
-	return best
 }
 
 // Stats returns sampling counters.

@@ -164,7 +164,7 @@ func TestCollectorDisabled(t *testing.T) {
 		t.Fatal("nil collector kept a trace")
 	}
 	c.RegisterSeq(1, 2)
-	if c.TraceForSeq(1) != 0 || c.Traces() != nil || c.Find("R1") != nil {
+	if c.TraceForSeq(1) != 0 || c.Traces() != nil {
 		t.Fatal("nil collector accessors not zero")
 	}
 	if c.Stats() != (CollectorStats{}) {
@@ -215,14 +215,10 @@ func TestCollectorTailSampling(t *testing.T) {
 	}
 }
 
-func TestCollectorRingAndFind(t *testing.T) {
+func TestCollectorRing(t *testing.T) {
 	c := NewCollector(CollectorOptions{Sample: 1, Capacity: 4})
 	for i := uint64(1); i <= 10; i++ {
-		tr := mkTrace(i, "ok", time.Microsecond)
-		if i%2 == 0 {
-			tr.ReqID = "R-even"
-		}
-		c.Offer(tr)
+		c.Offer(mkTrace(i, "ok", time.Microsecond))
 	}
 	got := c.Traces()
 	if len(got) != 4 {
@@ -232,12 +228,6 @@ func TestCollectorRingAndFind(t *testing.T) {
 		if want := uint64(7 + i); tr.TraceID != want {
 			t.Fatalf("ring[%d] = trace %d, want %d (oldest first)", i, tr.TraceID, want)
 		}
-	}
-	if f := c.Find("R-even"); f == nil || f.TraceID != 10 {
-		t.Fatalf("Find returned %+v, want newest even trace (10)", f)
-	}
-	if f := c.Find("R1"); f != nil {
-		t.Fatalf("Find resurrected an evicted trace: %+v", f)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/provenance"
 	"repro/internal/runtime"
+	"repro/internal/span"
 	"repro/internal/storage"
 )
 
@@ -55,8 +56,12 @@ type Tracer struct {
 	writer *provenance.Writer
 	cfg    Config
 
-	mu      sync.Mutex
-	buf     []provenance.Event
+	mu  sync.Mutex
+	buf []provenance.Event
+	// drainMu makes a drain one step: the buffer swap and its ApplyBatch
+	// happen under it, so Flush returns only after every event pushed
+	// before it (including a batch the flusher took first) is applied.
+	drainMu sync.Mutex
 	err     error // first flush error, surfaced on Flush/Close
 	logical uint64
 
@@ -210,6 +215,8 @@ func (t *Tracer) flushLoop() {
 // drain writes out everything currently buffered, returning the drained
 // buffer to the pool afterwards.
 func (t *Tracer) drain() {
+	t.drainMu.Lock()
+	defer t.drainMu.Unlock()
 	t.mu.Lock()
 	batch := t.buf
 	t.buf = nil
@@ -344,6 +351,13 @@ func (t *Tracer) Invocation(info runtime.InvocationInfo) {
 		Handler: info.Handler,
 		Logical: t.nextLogical(),
 	})
+}
+
+// Span records a kept request trace (span.Collector's sink): its spans
+// become trod_spans rows in the next batch. It runs on the request path
+// after the response is written; a full ring drops it like any event.
+func (t *Tracer) Span(tr *span.Trace) {
+	t.push(provenance.Event{Kind: provenance.KindSpan, Span: tr, Logical: t.nextLogical()})
 }
 
 // External records an external-service call.

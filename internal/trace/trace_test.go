@@ -10,6 +10,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/provenance"
 	"repro/internal/runtime"
+	"repro/internal/span"
 	"repro/internal/value"
 )
 
@@ -303,6 +304,30 @@ func TestSyncModeWritesImmediately(t *testing.T) {
 	}
 	if res.Rows[0][0].AsInt() != 2 {
 		t.Errorf("sync executions = %v", res.Rows)
+	}
+}
+
+// TestKeptSpansJoinExecutions: a kept trace pushed through the tracer lands
+// in trod_spans next to the request's Executions rows, joinable on the
+// request ID.
+func TestKeptSpansJoinExecutions(t *testing.T) {
+	app, tr := moodleApp(t, Config{})
+	app.InvokeWithReqID("R1", "subscribeUser", runtime.Args{"userId": "U1", "forum": "F1"})
+	tr.Span(&span.Trace{TraceID: 9, ReqID: "R1", Kind: "exec", Status: "ok", Spans: []span.Span{
+		{ID: span.RootID, Stage: span.StageRequest},
+		{ID: 2, Parent: span.RootID, Stage: span.StageExecute},
+	}})
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := tr.Prov().Query(`SELECT S.stage, E.Func FROM trod_spans AS S
+		JOIN Executions AS E ON S.req_id = E.ReqId WHERE S.trace_id = 9`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two spans times R1's two transactions (isSubscribed, DB.insert).
+	if len(res.Rows) != 4 {
+		t.Fatalf("spans joined to executions = %v, want 4 rows", res.Rows)
 	}
 }
 
